@@ -3,10 +3,13 @@
 Subcommands map onto the standard plots for this protocol: ``kappa`` reports
 the derived coupling for a parameter sheet, ``joint`` writes the two-pulse
 scatter panels, ``sweep`` the variance-vs-coupling tables, ``conditional``
-the conditioned-variance tables.  Data files are CSV, summaries JSON; theory
-companions are closed-form only and identical across seeds.  Every emitted
-file is listed in exactly one manifest together with its content hash, the
-resolved spec, and the seed, so a run can be reproduced byte for byte.
+the conditioned-variance tables.  Data files are CSV, summaries JSON.  One
+model, :func:`qndsim.montecarlo.predict` (the Gaussian core run on the spec's
+own mode, basis, loss and atom-number spread), supplies every theory
+companion and every ``--check`` target; theory companions are identical
+across seeds.  Every emitted file is listed in exactly one manifest together
+with its content hash, the resolved spec, and the seed, so a run can be
+reproduced byte for byte.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 statistical check
 failure (with --check).
@@ -28,6 +31,8 @@ import numpy as np
 from . import stats
 from .montecarlo import (
     SequenceConfig,
+    mean_kappa_sq,
+    predict,
     run_kappa_sweep,
     run_sequence,
     sweep_seed,
@@ -152,24 +157,6 @@ class FigureBundle:
     data_files: tuple[str, ...]
     theory_files: tuple[str, ...]
     manifest: dict
-
-    def __post_init__(self):
-        for path in self.data_files + self.theory_files:
-            _assert_parses(Path(path))
-
-
-def _assert_parses(path: Path) -> None:
-    if not path.is_file():
-        raise FileNotFoundError(path)
-    text = path.read_text()
-    if path.suffix == ".json":
-        json.loads(text)
-    else:
-        lines = text.splitlines()
-        width = len(lines[0].split(","))
-        for line in lines[1:]:
-            if len(line.split(",")) != width:
-                raise ValueError(f"{path}: ragged CSV row {line!r}")
 
 
 def _fmt(x) -> str:
@@ -310,12 +297,18 @@ def cmd_joint(spec: ExperimentSpec, workers: int = 1) -> FigureBundle:
     )
 
 
-def _individual_curve(kappa: float) -> float:
-    return (1.0 + kappa * kappa) / 2.0
+def _theory_kappas(grid: list[float]) -> np.ndarray:
+    """Theory abscissa: 0 to the grid value of largest magnitude (1 if all zero)."""
+    return np.linspace(0.0, max(grid, key=abs) or 1.0, THEORY_POINTS)
 
 
-def _plus_curve(kappa: float) -> float:
-    return (1.0 + 2.0 * kappa * kappa) / 2.0
+def _band_failures(label: str, points) -> list[str]:
+    """Messages for the (name, value, se, target) points outside the check band."""
+    return [
+        f"{label}: {name}={value:.4f} vs {target:.4f} exceeds {CHECK_SIGMAS:g} SE ({se:.4f})"
+        for name, value, se, target in points
+        if abs(value - target) > CHECK_SIGMAS * se
+    ]
 
 
 def cmd_variance_sweep(
@@ -331,7 +324,8 @@ def cmd_variance_sweep(
     data_files = []
     failures = []
     for m in modes:
-        results = run_kappa_sweep(replace(spec.sequence, mode=m), grid, workers=workers)
+        base = replace(spec.sequence, mode=m)
+        results = run_kappa_sweep(base, grid, workers=workers)
         rows = []
         for kappa, result in zip(grid, results):
             vs = stats.variances(result)
@@ -349,29 +343,16 @@ def cmd_variance_sweep(
                 )
             )
             if check:
-                if m == "qnd":
-                    targets = {
-                        "sigma1": (vs.sigma1, vs.se_sigma1, _individual_curve(kappa)),
-                        "sigma2": (vs.sigma2, vs.se_sigma2, _individual_curve(kappa)),
-                        "sigma_plus": (vs.sigma_plus, vs.se_plus, _plus_curve(kappa)),
-                        "sigma_minus": (vs.sigma_minus, vs.se_minus, 0.5),
-                    }
-                else:
-                    targets = {
-                        name: (value, se, _individual_curve(kappa))
-                        for name, value, se in (
-                            ("sigma1", vs.sigma1, vs.se_sigma1),
-                            ("sigma2", vs.sigma2, vs.se_sigma2),
-                            ("sigma_plus", vs.sigma_plus, vs.se_plus),
-                            ("sigma_minus", vs.sigma_minus, vs.se_minus),
-                        )
-                    }
-                for name, (value, se, target) in targets.items():
-                    if abs(value - target) > CHECK_SIGMAS * se:
-                        failures.append(
-                            f"{m} kappa={kappa:g}: {name}={value:.4f} vs "
-                            f"{target:.4f} exceeds {CHECK_SIGMAS:g} SE ({se:.4f})"
-                        )
+                model = predict(replace(base, kappa_nominal=kappa))
+                failures += _band_failures(
+                    f"{m} kappa={kappa:g}",
+                    (
+                        ("sigma1", vs.sigma1, vs.se_sigma1, model.var1),
+                        ("sigma2", vs.sigma2, vs.se_sigma2, model.var2),
+                        ("sigma_plus", vs.sigma_plus, vs.se_plus, model.sigma_plus),
+                        ("sigma_minus", vs.sigma_minus, vs.se_minus, model.sigma_minus),
+                    ),
+                )
         path = outdir / f"{spec.name}_variance_{m}.csv"
         _write_csv(
             path,
@@ -380,16 +361,13 @@ def cmd_variance_sweep(
             rows,
         )
         data_files.append(path)
-    hi = max(grid) or 1.0
+    qnd = replace(spec.sequence, mode="qnd")
+    theory = []
+    for k in _theory_kappas(grid):
+        model = predict(replace(qnd, kappa_nominal=float(k)))
+        theory.append((k, model.var1, model.sigma_plus, model.sigma_minus))
     theory_path = outdir / f"{spec.name}_variance_theory.csv"
-    _write_csv(
-        theory_path,
-        "kappa,individual,plus,minus",
-        (
-            (k, _individual_curve(k), _plus_curve(k), 0.5)
-            for k in np.linspace(0.0, hi, THEORY_POINTS)
-        ),
-    )
+    _write_csv(theory_path, "kappa,individual,plus,minus", theory)
     manifest = _emit_manifest(outdir, spec, "variance_sweep", data_files + [theory_path])
     if failures:
         raise CheckFailure("; ".join(failures))
@@ -424,38 +402,36 @@ def cmd_conditional_sweep(
             )
         )
         if check:
-            total_target = kappa * kappa / 2.0
-            cond_target = stats.exact_conditional(kappa) - 0.5
-            if abs((vs.sigma2 - 0.5) - total_target) > CHECK_SIGMAS * vs.se_sigma2:
-                failures.append(
-                    f"kappa={kappa:g}: sigma2 excess {vs.sigma2 - 0.5:.4f} vs "
-                    f"{total_target:.4f} exceeds {CHECK_SIGMAS:g} SE"
-                )
-            if abs((cond.sigma_cond - 0.5) - cond_target) > CHECK_SIGMAS * cond.se_cond:
-                failures.append(
-                    f"kappa={kappa:g}: conditional excess {cond.sigma_cond - 0.5:.4f} "
-                    f"vs {cond_target:.4f} exceeds {CHECK_SIGMAS:g} SE"
-                )
+            model = predict(replace(spec.sequence, kappa_nominal=kappa))
+            failures += _band_failures(
+                f"kappa={kappa:g}",
+                (
+                    ("sigma2 excess", vs.sigma2 - 0.5, vs.se_sigma2, model.var2 - 0.5),
+                    (
+                        "conditional excess",
+                        cond.sigma_cond - 0.5,
+                        cond.se_cond,
+                        model.cond - 0.5,
+                    ),
+                ),
+            )
     data_path = outdir / f"{spec.name}_conditional.csv"
     _write_csv(
         data_path,
         "kappa,sigma2_minus_half,sigma_cond_minus_half,squeezing_db,se_sigma2,se_cond",
         rows,
     )
-    hi = max(grid) or 1.0
+    theory = []
+    for k in _theory_kappas(grid):
+        config = replace(spec.sequence, kappa_nominal=float(k))
+        model = predict(config)
+        # the data column's convention: squeezing at the rms per-shot coupling
+        kappa_rms = math.sqrt(mean_kappa_sq(config))
+        ideal = stats.squeezing_db(model.cond, kappa_rms) if k else math.nan
+        theory.append((k, model.var2 - 0.5, model.cond - 0.5, ideal))
     theory_path = outdir / f"{spec.name}_conditional_theory.csv"
     _write_csv(
-        theory_path,
-        "kappa,total_excess,conditional_excess,squeezing_db_ideal",
-        (
-            (
-                k,
-                k * k / 2.0,
-                stats.exact_conditional(k) - 0.5,
-                10.0 * math.log10(1.0 + k * k) if k else math.nan,
-            )
-            for k in np.linspace(0.0, hi, THEORY_POINTS)
-        ),
+        theory_path, "kappa,total_excess,conditional_excess,squeezing_db_ideal", theory
     )
     manifest = _emit_manifest(outdir, spec, "conditional_sweep", [data_path, theory_path])
     if failures:

@@ -25,16 +25,25 @@ never shifts):
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
-from functools import cached_property
-from pathlib import Path
+from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
+
+from .gaussian_core import (
+    ATOM,
+    apply_loss,
+    apply_map,
+    coherent_init,
+    condition_on,
+    marginal,
+    pulse,
+    qnd_map,
+)
 
 DRAWS_PER_SHOT = 8
 _CHUNK_SHOTS = 8192
@@ -42,8 +51,6 @@ _U64 = (1 << 64) - 1
 
 MODES = ("qnd", "reinit")
 BASES = ("y", "z")
-
-CSV_HEADER = "shot,s1,s2,jz1,jz2,kappa_shot"
 
 # Atom-number draws are clipped below at this fraction of the mean so the
 # Gaussian tail cannot produce a negative atom number.
@@ -86,15 +93,63 @@ class SequenceConfig:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
 
-@dataclass(frozen=True, slots=True)
-class ShotRecord:
-    """One protocol repetition: measured pulse outcomes plus latent variables."""
+def mean_kappa_sq(config: SequenceConfig) -> float:
+    """E[kappa_shot^2] of the sampler: kappa^2 * E[max(1 + r*z, MIN_ATOM_FRACTION)]."""
+    k2 = config.kappa_nominal * config.kappa_nominal
+    r = config.spin_rel_std
+    if not (config.atom_fluctuation and r > 0.0):
+        return k2
+    a = (MIN_ATOM_FRACTION - 1.0) / r  # the clip bites for z below a
+    nd = NormalDist()
+    return k2 * (MIN_ATOM_FRACTION * nd.cdf(a) + (1.0 - nd.cdf(a)) + r * nd.pdf(a))
 
-    s1: float
-    s2: float
-    jz1: float
-    jz2: float
-    kappa_shot: float
+
+@dataclass(frozen=True)
+class Prediction:
+    """Model moments of the recorded quadratures s1, s2 and Var(s2 | s1)."""
+
+    var1: float
+    var2: float
+    cov: float
+    cond: float
+
+    @property
+    def sigma_plus(self) -> float:
+        """Var(s1 + s2)/2."""
+        return (self.var1 + self.var2 + 2.0 * self.cov) / 2.0
+
+    @property
+    def sigma_minus(self) -> float:
+        """Var(s1 - s2)/2."""
+        return (self.var1 + self.var2 - 2.0 * self.cov) / 2.0
+
+
+def predict(config: SequenceConfig) -> Prediction:
+    """Gaussian-core model of the run ``config`` describes (its seed and shots aside).
+
+    Both pulses couple with strength sqrt(E[kappa_shot^2]) (see
+    :func:`mean_kappa_sq`); "reinit" replaces the atom by a fresh coherent
+    spin between the pulses; each pulse then passes the loss channel eta, and
+    the recorded quadrature is the spec's basis.  kappa_shot is drawn
+    independently of every quadrature, so the second moments are exact under
+    atom-number spread too; the conditional variance there is the Gaussian
+    (best-linear) one, the Schur complement Var(s2) - Cov^2/Var(s1).
+    """
+    kappa = math.copysign(math.sqrt(mean_kappa_sq(config)), config.kappa_nominal)
+    state = apply_map(coherent_init(2), qnd_map(2, 1, kappa))
+    if config.mode == "reinit":
+        state = apply_loss(state, ATOM, 0.0)
+    state = apply_map(state, qnd_map(2, 2, kappa))
+    for k in (1, 2):
+        state = apply_loss(state, pulse(k), config.eta)
+    q = 0 if config.basis == "y" else 1  # pulse k's quadrature sits at 2*k + q
+    conditioned = condition_on(state, pulse(1), config.basis, 0.0)
+    return Prediction(
+        var1=marginal(state, pulse(1))[2 + q],
+        var2=marginal(state, pulse(2))[2 + q],
+        cov=float(state.cov[2 + q, 4 + q]),
+        cond=marginal(conditioned, pulse(2))[2 + q],
+    )
 
 
 @dataclass(frozen=True)
@@ -116,45 +171,8 @@ class RunResult:
             col.setflags(write=False)
             object.__setattr__(self, name, col)
 
-    @cached_property
-    def records(self) -> tuple[ShotRecord, ...]:
-        cols = (self.s1, self.s2, self.jz1, self.jz2, self.kappa_shot)
-        return tuple(ShotRecord(*row) for row in zip(*(c.tolist() for c in cols)))
-
     def __len__(self) -> int:
         return self.config.shots
-
-    def write_csv(self, path: str | Path) -> None:
-        lines = [CSV_HEADER]
-        cols = (self.s1, self.s2, self.jz1, self.jz2, self.kappa_shot)
-        for i, row in enumerate(zip(*(c.tolist() for c in cols))):
-            lines.append(f"{i}," + ",".join(f"{v:.9g}" for v in row))
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    def write_json(self, path: str | Path) -> None:
-        """JSON envelope: the full config plus the columns, for provenance."""
-        payload = {
-            "config": asdict(self.config),
-            "columns": {
-                name: [float(f"{v:.9g}") for v in getattr(self, name).tolist()]
-                for name in ("s1", "s2", "jz1", "jz2", "kappa_shot")
-            },
-        }
-        with open(path, "w", newline="\n") as fh:
-            fh.write(json.dumps(payload, indent=1) + "\n")
-
-
-def read_records_csv(path: str | Path) -> list[ShotRecord]:
-    """Read records back from the CSV written by :meth:`RunResult.write_csv`."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{path}: expected header {CSV_HEADER!r}")
-    records = []
-    for line in lines[1:]:
-        _, *vals = line.split(",")
-        records.append(ShotRecord(*(float(v) for v in vals)))
-    return records
 
 
 def shot_stream(seed: int, shot_index: int) -> Generator:
@@ -191,15 +209,6 @@ def _columns_from_uniforms(config: SequenceConfig, u: np.ndarray):
         s1 = config.eta * s1 + refill * z[:, 5]
         s2 = config.eta * s2 + refill * z[:, 6]
     return s1, s2, jz1, jz2, kappa_shot
-
-
-def sample_shot(config: SequenceConfig, rng_stream: Generator) -> ShotRecord:
-    """Draw one shot from a stream positioned at its window (see module doc)."""
-    u = rng_stream.random(DRAWS_PER_SHOT).reshape(1, DRAWS_PER_SHOT)
-    s1, s2, jz1, jz2, kappa_shot = _columns_from_uniforms(config, u)
-    return ShotRecord(
-        float(s1[0]), float(s2[0]), float(jz1[0]), float(jz2[0]), float(kappa_shot[0])
-    )
 
 
 def _chunk_columns(config: SequenceConfig, start: int, n: int):

@@ -21,9 +21,6 @@ from pathlib import Path
 
 TWO_PI = 2.0 * math.pi
 
-# |phi - (kappa/2)*sqrt(J/S)| tolerance for jointly built couplings.
-CONSISTENCY_TOL = 1e-9
-
 
 class SheetError(ValueError):
     """Parameter sheet failed to parse or is missing/mistyping a key."""
@@ -162,16 +159,11 @@ def derive_coupling(atomic: AtomicParams, pulse: PulseParams) -> DerivedCoupling
         if pulse.photons > 0
         else 0.0
     )
-    derived = DerivedCoupling(
+    return DerivedCoupling(
         kappa=kappa,
         phi=phi,
         epsilon=loss_parameter(pulse.absorption_rate, pulse.width),
     )
-    if pulse.photons > 0:
-        check = 0.5 * kappa * math.sqrt(atomic.collective_spin / pulse.stokes_length)
-        if abs(phi - check) > CONSISTENCY_TOL:
-            raise ValueError("kappa/phi consistency violated")
-    return derived
 
 
 # ---------------------------------------------------------------------------

@@ -100,37 +100,32 @@ class ConditionalResult:
         }
 
 
-def _shot_arrays(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(data, RunResult):
-        return data.s1, data.s2, data.kappa_shot
-    records = list(data)
-    n = len(records)
-    s1 = np.fromiter((r.s1 for r in records), dtype=float, count=n)
-    s2 = np.fromiter((r.s2 for r in records), dtype=float, count=n)
-    kappa = np.fromiter((r.kappa_shot for r in records), dtype=float, count=n)
-    return s1, s2, kappa
+def _var(x: np.ndarray) -> float:
+    return float(np.var(x, ddof=1))
 
 
-def variances(data) -> VarianceSummary:
+# The four variance estimators, shared by variances() and bootstrap_ci().
+_VARIANCES = {
+    "sigma1": lambda s1, s2: _var(s1),
+    "sigma2": lambda s1, s2: _var(s2),
+    "sigma_plus": lambda s1, s2: _var(s1 + s2) / 2.0,
+    "sigma_minus": lambda s1, s2: _var(s1 - s2) / 2.0,
+}
+
+
+def variances(data: RunResult) -> VarianceSummary:
     """Sigma_1, sigma_2 and the +/- correlation variances with standard errors."""
-    s1, s2, _ = _shot_arrays(data)
-    n = len(s1)
+    n = len(data.s1)
     if n < 2:
         raise InsufficientDataError("need at least two shots")
     se_factor = math.sqrt(2.0 / (n - 1))
-    sigma1 = float(np.var(s1, ddof=1))
-    sigma2 = float(np.var(s2, ddof=1))
-    sigma_plus = float(np.var(s1 + s2, ddof=1)) / 2.0
-    sigma_minus = float(np.var(s1 - s2, ddof=1)) / 2.0
+    v = {name: fn(data.s1, data.s2) for name, fn in _VARIANCES.items()}
     return VarianceSummary(
-        sigma1=sigma1,
-        sigma2=sigma2,
-        sigma_plus=sigma_plus,
-        sigma_minus=sigma_minus,
-        se_sigma1=sigma1 * se_factor,
-        se_sigma2=sigma2 * se_factor,
-        se_plus=sigma_plus * se_factor,
-        se_minus=sigma_minus * se_factor,
+        **v,
+        se_sigma1=v["sigma1"] * se_factor,
+        se_sigma2=v["sigma2"] * se_factor,
+        se_plus=v["sigma_plus"] * se_factor,
+        se_minus=v["sigma_minus"] * se_factor,
         n=n,
     )
 
@@ -169,7 +164,7 @@ def _binned(s1, s2, n_bins, half_range_sigmas, count_weighted):
 
 
 def binned_conditional(
-    data,
+    data: RunResult,
     n_bins: int = DEFAULT_BINS,
     half_range_sigmas: float = DEFAULT_HALF_RANGE_SIGMAS,
     kappa: float | None = None,
@@ -189,12 +184,11 @@ def binned_conditional(
         raise ValueError("n_bins must be at least 1")
     if half_range_sigmas <= 0:
         raise ValueError("half_range_sigmas must be positive")
-    s1, s2, kappa_shot = _shot_arrays(data)
     sigma_cond, se, edges, counts, bin_var = _binned(
-        s1, s2, n_bins, half_range_sigmas, count_weighted
+        data.s1, data.s2, n_bins, half_range_sigmas, count_weighted
     )
     if kappa is None:
-        kappa = math.sqrt(float(np.mean(kappa_shot**2))) if len(kappa_shot) else 0.0
+        kappa = math.sqrt(float(np.mean(data.kappa_shot**2)))
     if kappa == 0.0:
         db = math.nan
     elif sigma_cond <= 0.5:
@@ -213,12 +207,6 @@ def binned_conditional(
     )
 
 
-def exact_conditional(kappa: float) -> float:
-    """Closed-form conditional variance (1 + 2*kappa^2) / (2*(1 + kappa^2))."""
-    k2 = kappa * kappa
-    return (1.0 + 2.0 * k2) / (2.0 * (1.0 + k2))
-
-
 def squeezing_db(sigma_cond: float, kappa: float) -> float:
     """Squeezing of the inferred atomic z variance, in dB (positive = squeezed).
 
@@ -235,31 +223,20 @@ def squeezing_db(sigma_cond: float, kappa: float) -> float:
     return 10.0 * math.log10((kappa * kappa / 2.0) / (sigma_cond - 0.5))
 
 
-def conditional_from_db(squeezing_db_value: float, kappa: float) -> float:
-    """Inverse of :func:`squeezing_db`, for testing alternative conventions."""
-    if kappa == 0.0:
-        raise ValueError("squeezing is undefined at zero coupling")
-    return 0.5 + (kappa * kappa / 2.0) * 10.0 ** (-squeezing_db_value / 10.0)
-
-
 def _est_sigma_cond(s1, s2):
     value, _, _, _, _ = _binned(s1, s2, DEFAULT_BINS, DEFAULT_HALF_RANGE_SIGMAS, True)
     return value
 
 
 _ESTIMATORS = {
-    "sigma1": lambda s1, s2: float(np.var(s1, ddof=1)),
-    "sigma2": lambda s1, s2: float(np.var(s2, ddof=1)),
-    "sigma_plus": lambda s1, s2: float(np.var(s1 + s2, ddof=1)) / 2.0,
-    "sigma_minus": lambda s1, s2: float(np.var(s1 - s2, ddof=1)) / 2.0,
+    **_VARIANCES,
     "sigma_cond": _est_sigma_cond,
-    "conditioning_gain": lambda s1, s2: float(np.var(s2, ddof=1))
-    - _est_sigma_cond(s1, s2),
+    "conditioning_gain": lambda s1, s2: _var(s2) - _est_sigma_cond(s1, s2),
 }
 
 
 def bootstrap_ci(
-    data,
+    data: RunResult,
     estimator: str,
     resamples: int = 1000,
     level: float = 0.683,
@@ -277,7 +254,7 @@ def bootstrap_ci(
         )
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    s1, s2, _ = _shot_arrays(data)
+    s1, s2 = data.s1, data.s2
     n = len(s1)
     if n < 10:
         raise InsufficientDataError("need at least ten shots to bootstrap")

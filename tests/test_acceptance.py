@@ -24,9 +24,15 @@ from qndsim.gaussian_core import (
 from qndsim.harness import cmd_variance_sweep, main, spec_from_mapping
 from qndsim.montecarlo import SequenceConfig, run_sequence
 from qndsim.physics import kappa_from_angle, load_sheet, coupling_strength, loss_parameter
-from qndsim.stats import binned_conditional, bootstrap_ci, exact_conditional, squeezing_db, variances
+from qndsim.stats import binned_conditional, bootstrap_ci, squeezing_db, variances
 
 SEED = 73205080
+
+
+def exact_conditional(kappa):
+    """Reference closed form: lossless y-basis Var(s2 | s1) = (1 + 2k^2) / (2(1 + k^2))."""
+    k2 = kappa * kappa
+    return (1.0 + 2.0 * k2) / (2.0 * (1.0 + k2))
 
 
 def report(criterion: int, message: str) -> None:

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from qndsim import harness
 from qndsim.harness import (
     CheckFailure,
     ExperimentSpec,
-    FigureBundle,
     SpecError,
     cmd_conditional_sweep,
     cmd_joint,
@@ -21,7 +21,7 @@ from qndsim.harness import (
     resolve_kappa_grid,
     spec_from_mapping,
 )
-from qndsim.montecarlo import SequenceConfig, run_sequence, sweep_seed
+from qndsim.montecarlo import SequenceConfig, run_kappa_sweep, run_sequence, sweep_seed
 from qndsim.stats import bootstrap_ci
 
 SEED = 141421356
@@ -36,6 +36,15 @@ def make_spec(tmp_path, **overrides):
     }
     raw.update(overrides)
     return spec_from_mapping(raw)
+
+
+def feed_lossy_runs(monkeypatch, eta=0.5):
+    """Make the commands sample at ``eta`` whatever the spec says."""
+
+    def lossy(base, kappas, workers=1):
+        return run_kappa_sweep(replace(base, eta=eta), kappas, workers=workers)
+
+    monkeypatch.setattr(harness, "run_kappa_sweep", lossy)
 
 
 def write_spec(tmp_path, **overrides) -> Path:
@@ -193,15 +202,29 @@ class TestVarianceSweep:
             fig_b.data_files[0]
         ).read_bytes()
 
-    def test_lossy_run_fails_lossless_check(self, tmp_path):
-        spec = make_spec(
-            tmp_path,
-            sequence={"mode": "qnd", "kappa_nominal": 0.62, "shots": 2600,
-                      "seed": SEED, "eta": 0.5},
-            kappa_grid=[0.62],
-        )
+    def test_lossy_run_fails_lossless_check(self, tmp_path, monkeypatch):
+        # --check compares to the spec's own (lossless) model, not the data's
+        feed_lossy_runs(monkeypatch)
+        spec = make_spec(tmp_path, kappa_grid=[0.62])
         with pytest.raises(CheckFailure):
             cmd_variance_sweep(spec, check=True)
+
+    @pytest.mark.parametrize("photons", [[1.6e6, 3.2e6], [0.0, 1.6e6, 3.2e6]])
+    def test_theory_spans_negative_couplings(self, tmp_path, photons):
+        # the yb171 couplings are negative: the curves run from 0 to the
+        # grid value of largest magnitude
+        spec = make_spec(
+            tmp_path, kappa_grid=None, photon_grid=photons, physics_sheet="yb171",
+            sequence={"mode": "qnd", "kappa_nominal": 0.62, "shots": 300, "seed": SEED},
+        )
+        far = resolve_kappa_grid(spec)[-1]
+        assert far == pytest.approx(-0.6357, abs=1e-3)
+        for fig in (cmd_variance_sweep(spec, mode="qnd"), cmd_conditional_sweep(spec)):
+            lines = Path(fig.theory_files[0]).read_text().splitlines()
+            kappas = [float(line.split(",")[0]) for line in lines[1:]]
+            assert len(kappas) == 121
+            assert kappas[0] == 0.0
+            assert kappas[-1] == float(f"{far:.9g}")
 
     def test_manifest_lists_every_file_once(self, tmp_path):
         spec = make_spec(tmp_path)
@@ -288,21 +311,6 @@ class TestDeterminismAndBundles:
             fig_b.data_files[0]
         ).read_bytes()
 
-    def test_bundle_requires_existing_files(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            FigureBundle(
-                figure_id="variance_sweep",
-                data_files=(str(tmp_path / "missing.csv"),),
-                theory_files=(),
-                manifest={},
-            )
-
-    def test_bundle_rejects_ragged_csv(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("a,b\n1,2,3\n")
-        with pytest.raises(ValueError, match="ragged"):
-            FigureBundle("variance_sweep", (str(bad),), (), {})
-
 
 class TestCliEntry:
     def test_sweep_via_main(self, tmp_path):
@@ -337,14 +345,25 @@ class TestCliEntry:
         path = write_spec(tmp_path, outputs=str(blocker / "nested"))
         assert main(["sweep", "--spec", str(path)]) == 3
 
-    def test_check_failure_exit_code(self, tmp_path):
-        path = write_spec(
-            tmp_path,
-            sequence={"mode": "qnd", "kappa_nominal": 0.62, "shots": 2600,
-                      "seed": SEED, "eta": 0.5},
-            kappa_grid=[0.62],
-        )
+    def test_check_failure_exit_code(self, tmp_path, monkeypatch):
+        feed_lossy_runs(monkeypatch)
+        path = write_spec(tmp_path, kappa_grid=[0.62])
         assert main(["sweep", "--spec", str(path), "--check"]) == 4
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"eta": 0.8},
+            {"basis": "z"},
+            {"eta": 0.8, "atom_fluctuation": True, "spin_rel_std": 0.05},
+        ],
+        ids=["lossy", "z_basis", "lossy_spread"],
+    )
+    def test_check_uses_spec_configuration(self, tmp_path, settings):
+        sequence = {"mode": "qnd", "kappa_nominal": 0.62, "shots": 2600, "seed": SEED}
+        path = write_spec(tmp_path, sequence={**sequence, **settings})
+        assert main(["sweep", "--spec", str(path), "--check"]) == 0
+        assert main(["conditional", "--spec", str(path), "--check"]) == 0
 
     def test_kappa_subcommand(self, capsys):
         assert main(["kappa", "--sheet", "yb171", "--json"]) == 0

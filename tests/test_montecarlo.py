@@ -1,20 +1,23 @@
-"""Tests for the shot sampler: statistics against the exact model, determinism."""
+"""Tests for the shot sampler and its model: statistics, determinism, predict."""
 
+import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from qndsim.montecarlo import (
     DRAWS_PER_SHOT,
+    MIN_ATOM_FRACTION,
     RunResult,
     SequenceConfig,
-    ShotRecord,
-    read_records_csv,
+    mean_kappa_sq,
+    predict,
     run_kappa_sweep,
     run_sequence,
-    sample_shot,
     shot_stream,
     sweep_seed,
 )
@@ -84,8 +87,6 @@ class TestSampling:
     def test_qnd_condition_shares_jz(self):
         res = run_sequence(cfg(shots=500))
         assert np.array_equal(res.jz1, res.jz2)
-        for rec in res.records[:10]:
-            assert rec.jz2 == rec.jz1
 
     def test_z_basis_untouched(self):
         res = run_sequence(cfg(basis="z", shots=20000))
@@ -126,8 +127,9 @@ class TestDeterminism:
     def test_rerun_is_bitwise_identical(self):
         a = run_sequence(cfg(shots=2))
         b = run_sequence(cfg(shots=2))
-        assert len(a.records) == 2
-        assert a.records == b.records
+        assert len(a) == 2
+        for name in ("s1", "s2", "jz1", "jz2", "kappa_shot"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_worker_count_does_not_matter(self, workers):
@@ -136,12 +138,16 @@ class TestDeterminism:
         for name in ("s1", "s2", "jz1", "jz2", "kappa_shot"):
             assert np.array_equal(getattr(base, name), getattr(other, name))
 
-    @pytest.mark.parametrize("index", [0, 1, 1233, 2599])
-    def test_sample_shot_matches_run(self, index):
-        config = cfg(mode="reinit", eta=0.9, atom_fluctuation=True, spin_rel_std=0.07)
-        res = run_sequence(config)
-        rec = sample_shot(config, shot_stream(config.seed, index))
-        assert rec == res.records[index]
+    @pytest.mark.parametrize("k", [2, 8191, 8193, 16385])
+    def test_prefix_matches_shorter_run(self, k):
+        # shot i depends only on its own draw window, wherever the 8192-shot
+        # chunks of either run happen to fall
+        config = cfg(mode="reinit", eta=0.9, atom_fluctuation=True, spin_rel_std=0.07,
+                     shots=20000)
+        full = run_sequence(config)
+        prefix = run_sequence(replace(config, shots=k))
+        for name in ("s1", "s2", "jz1", "jz2", "kappa_shot"):
+            assert np.array_equal(getattr(full, name)[:k], getattr(prefix, name))
 
     def test_shot_stream_window_size(self):
         # consecutive windows tile the full stream
@@ -234,42 +240,84 @@ class TestEstimatorConsistency:
 
 
 class TestSerialization:
-    def test_csv_round_trip(self, tmp_path):
-        res = run_sequence(cfg(shots=50))
-        path = tmp_path / "run.csv"
-        res.write_csv(path)
-        text = path.read_text()
-        assert text.startswith("shot,s1,s2,jz1,jz2,kappa_shot\n")
-        records = read_records_csv(path)
-        assert len(records) == 50
-        for loaded, orig in zip(records, res.records):
-            assert loaded.s1 == pytest.approx(orig.s1, rel=1e-8)
-            assert loaded.kappa_shot == pytest.approx(orig.kappa_shot, rel=1e-8)
-
-    def test_csv_rejects_foreign_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError):
-            read_records_csv(path)
-
-    def test_json_envelope_carries_config(self, tmp_path):
-        import json
-
-        res = run_sequence(cfg(shots=10, eta=0.9))
-        path = tmp_path / "run.json"
-        res.write_json(path)
-        payload = json.loads(path.read_text())
-        assert payload["config"]["eta"] == 0.9
-        assert payload["config"]["seed"] == SEED
-        assert len(payload["columns"]["s1"]) == 10
-
     def test_result_validates_columns(self):
         with pytest.raises(ValueError):
             RunResult(cfg(shots=3), np.zeros(2), np.zeros(3), np.zeros(3),
                       np.zeros(3), np.zeros(3))
 
-    def test_records_are_plain_values(self):
-        res = run_sequence(cfg(shots=5))
-        rec = res.records[0]
-        assert isinstance(rec, ShotRecord)
-        assert isinstance(rec.s1, float)
+
+def loss(var, eta):
+    return eta**2 * var + (1 - eta**2) / 2
+
+
+class TestPredict:
+    """The Gaussian model against hand-written closed forms and its own identities."""
+
+    KAPPAS = [0.0, 0.15, -0.449, 0.62, 1.5, 3.0]
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_lossless_y(self, kappa):
+        m = predict(cfg(kappa_nominal=kappa))
+        individual = (1 + kappa**2) / 2
+        assert m.var1 == pytest.approx(individual, abs=1e-12)
+        assert m.var2 == pytest.approx(individual, abs=1e-12)
+        assert m.cov == pytest.approx(kappa**2 / 2, abs=1e-12)
+        assert m.sigma_plus == pytest.approx((1 + 2 * kappa**2) / 2, abs=1e-12)
+        assert m.sigma_minus == pytest.approx(0.5, abs=1e-12)
+        cond = (1 + 2 * kappa**2) / (2 * (1 + kappa**2))
+        assert m.cond == pytest.approx(cond, abs=1e-12)
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_reinit(self, kappa):
+        m = predict(cfg(mode="reinit", kappa_nominal=kappa))
+        individual = (1 + kappa**2) / 2
+        for value in (m.var1, m.var2, m.sigma_plus, m.sigma_minus, m.cond):
+            assert value == pytest.approx(individual, abs=1e-12)
+        assert m.cov == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["qnd", "reinit"])
+    def test_z_basis(self, mode):
+        m = predict(cfg(mode=mode, basis="z", eta=0.7, kappa_nominal=1.5))
+        for value in (m.var1, m.var2, m.sigma_plus, m.sigma_minus, m.cond):
+            assert value == pytest.approx(0.5, abs=1e-12)
+        assert m.cov == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 0.8, 0.907])
+    def test_loss(self, eta):
+        kappa = 0.62
+        m = predict(cfg(eta=eta, kappa_nominal=kappa))
+        var = loss((1 + kappa**2) / 2, eta)
+        cov = eta**2 * kappa**2 / 2
+        assert m.var1 == pytest.approx(var, abs=1e-12)
+        assert m.var2 == pytest.approx(var, abs=1e-12)
+        assert m.cov == pytest.approx(cov, abs=1e-12)
+        assert m.cond == pytest.approx(var - cov**2 / var, abs=1e-12)
+
+    @pytest.mark.parametrize("r", [0.05, 2.4 / 34, 0.3, 0.49])
+    def test_clipped_mean_kappa_sq_by_quadrature(self, r):
+        # E[max(1 + r z, MIN_ATOM_FRACTION)], split at the clip point a
+        a = (MIN_ATOM_FRACTION - 1) / r
+
+        def pdf(z):
+            return math.exp(-z * z / 2) / math.sqrt(2 * math.pi)
+
+        clipped, _ = quad(lambda z: MIN_ATOM_FRACTION * pdf(z), -np.inf, a, epsabs=1e-14)
+        linear, _ = quad(lambda z: (1 + r * z) * pdf(z), a, np.inf, epsabs=1e-14)
+        expected = 0.62**2 * (clipped + linear)
+        config = cfg(atom_fluctuation=True, spin_rel_std=r)
+        assert mean_kappa_sq(config) == pytest.approx(expected, rel=1e-12)
+        assert mean_kappa_sq(cfg(spin_rel_std=r)) == 0.62**2  # spread switched off
+        m = predict(config)
+        assert m.cov == pytest.approx(mean_kappa_sq(config) / 2, abs=1e-12)
+        assert m.var1 == pytest.approx((1 + mean_kappa_sq(config)) / 2, abs=1e-12)
+
+    def test_conditional_is_schur_complement(self):
+        for mode, basis, eta, spread in itertools.product(
+            ["qnd", "reinit"], ["y", "z"], [1.0, 0.8, 0.0], [0.0, 0.2]
+        ):
+            m = predict(cfg(mode=mode, basis=basis, eta=eta, kappa_nominal=1.3,
+                            atom_fluctuation=spread > 0, spin_rel_std=spread))
+            assert m.cond == pytest.approx(m.var2 - m.cov**2 / m.var1, abs=1e-12)
+
+    def test_seed_and_shots_do_not_matter(self):
+        assert predict(cfg()) == predict(cfg(seed=1, shots=7))

@@ -1,23 +1,33 @@
 """Tests for the estimators: exact identities, oracle agreement, bootstrap."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from qndsim.montecarlo import SequenceConfig, ShotRecord, run_sequence
+from qndsim.montecarlo import RunResult, SequenceConfig, predict, run_sequence
 from qndsim.stats import (
     InsufficientDataError,
     binned_conditional,
     bootstrap_ci,
-    conditional_from_db,
-    exact_conditional,
     squeezing_db,
     variances,
 )
 
 SEED = 27182818
+
+
+def exact_conditional(kappa):
+    """Reference closed form: lossless y-basis Var(s2 | s1) = (1 + 2k^2) / (2(1 + k^2))."""
+    k2 = kappa * kappa
+    return (1.0 + 2.0 * k2) / (2.0 * (1.0 + k2))
+
+
+def conditional_from_db(db, kappa):
+    """Reference inverse of squeezing_db."""
+    return 0.5 + (kappa * kappa / 2.0) * 10.0 ** (-db / 10.0)
 
 
 def run(**kwargs):
@@ -26,16 +36,23 @@ def run(**kwargs):
     return run_sequence(SequenceConfig(**base))
 
 
-def noise_records(n, seed=0, var=0.5):
+def columns(s1, s2, kappa=0.0):
+    """A RunResult carrying the given s1, s2 columns and a constant coupling."""
+    n = len(s1)
+    latent = np.zeros(n)
+    config = SequenceConfig(mode="qnd", kappa_nominal=kappa, shots=n)
+    return RunResult(config, s1, s2, latent, latent, np.full(n, kappa))
+
+
+def noise_run(n, seed=0, var=0.5):
     rng = Generator(Philox(key=seed))
-    cols = rng.normal(0.0, math.sqrt(var), size=(2, n))
-    return [ShotRecord(a, b, 0.0, 0.0, 0.0) for a, b in cols.T]
+    s1, s2 = rng.normal(0.0, math.sqrt(var), size=(2, n))
+    return columns(s1, s2)
 
 
 class TestVariances:
     def test_identical_records_give_zero(self):
-        records = [ShotRecord(1.2, -0.3, 0.0, 0.0, 0.5)] * 20
-        vs = variances(records)
+        vs = variances(columns(np.full(20, 1.2), np.full(20, -0.3), kappa=0.5))
         for value in (vs.sigma1, vs.sigma2, vs.sigma_plus, vs.sigma_minus):
             assert value == pytest.approx(0.0, abs=1e-30)
         assert vs.se_sigma1 == pytest.approx(0.0, abs=1e-30)
@@ -60,29 +77,14 @@ class TestVariances:
 
     def test_too_few_shots(self):
         with pytest.raises(InsufficientDataError):
-            variances([ShotRecord(0.0, 0.0, 0.0, 0.0, 0.0)])
+            variances(SimpleNamespace(s1=np.zeros(1), s2=np.zeros(1)))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_parallelogram_identity(self, seed):
-        vs = variances(noise_records(137, seed=seed))
+        vs = variances(noise_run(137, seed=seed))
         lhs = vs.sigma_plus + vs.sigma_minus
         rhs = vs.sigma1 + vs.sigma2
         assert abs(lhs - rhs) <= 1e-9
-
-    def test_accepts_records_and_results(self):
-        result = run(shots=200)
-        assert variances(result) == variances(result.records)
-
-    def test_accepts_csv_records(self, tmp_path):
-        from qndsim.montecarlo import read_records_csv
-
-        result = run(shots=300)
-        path = tmp_path / "run.csv"
-        result.write_csv(path)
-        vs_file = variances(read_records_csv(path))
-        vs_mem = variances(result)
-        assert vs_file.sigma1 == pytest.approx(vs_mem.sigma1, rel=1e-7)
-        assert vs_file.sigma_minus == pytest.approx(vs_mem.sigma_minus, rel=1e-7)
 
 
 class TestBinnedConditional:
@@ -142,13 +144,13 @@ class TestBinnedConditional:
 
     def test_degenerate_inputs(self):
         with pytest.raises(InsufficientDataError):
-            binned_conditional([ShotRecord(1.0, 0.5, 0, 0, 0)] * 40)  # zero spread
+            binned_conditional(columns(np.full(40, 1.0), np.full(40, 0.5)))  # zero spread
         with pytest.raises(InsufficientDataError):
-            binned_conditional(noise_records(40), n_bins=1)  # one usable bin
+            binned_conditional(noise_run(40), n_bins=1)  # one usable bin
         with pytest.raises(ValueError):
-            binned_conditional(noise_records(40), n_bins=0)
+            binned_conditional(noise_run(40), n_bins=0)
         with pytest.raises(ValueError):
-            binned_conditional(noise_records(40), half_range_sigmas=0.0)
+            binned_conditional(noise_run(40), half_range_sigmas=0.0)
 
 
 class TestExactConditional:
@@ -158,14 +160,10 @@ class TestExactConditional:
         assert exact_conditional(1e3) == pytest.approx(0.9999995000005, abs=1e-12)
 
     def test_matches_gaussian_conditioning(self):
-        from qndsim.gaussian_core import apply_map, coherent_init, condition_on, marginal, pulse, qnd_map
-
+        # the model's conditional variance is the target of every conditional check
         for kappa in np.arange(0.0, 3.0001, 0.05):
-            state = coherent_init(2)
-            state = apply_map(state, qnd_map(2, 1, kappa))
-            state = apply_map(state, qnd_map(2, 2, kappa))
-            conditioned = condition_on(state, pulse(1), "y", 0.0)
-            assert abs(marginal(conditioned, pulse(2))[2] - exact_conditional(kappa)) < 1e-12
+            model = predict(SequenceConfig(mode="qnd", kappa_nominal=float(kappa)))
+            assert abs(model.cond - exact_conditional(kappa)) < 1e-12
 
 
 class TestSqueezingDb:
@@ -191,8 +189,6 @@ class TestSqueezingDb:
     def test_zero_coupling_rejected(self):
         with pytest.raises(ValueError):
             squeezing_db(0.6, 0.0)
-        with pytest.raises(ValueError):
-            conditional_from_db(1.0, 0.0)
 
     def test_monotone_decreasing_in_sigma(self):
         values = [squeezing_db(s, 0.62) for s in np.linspace(0.51, 0.9, 40)]
@@ -201,27 +197,26 @@ class TestSqueezingDb:
 
 class TestBootstrap:
     def test_constant_data_zero_width(self):
-        records = [ShotRecord(0.7, 0.7, 0, 0, 0)] * 50
-        lo, hi = bootstrap_ci(records, "sigma1", resamples=200)
+        lo, hi = bootstrap_ci(columns(np.full(50, 0.7), np.full(50, 0.7)), "sigma1", resamples=200)
         assert hi - lo == 0.0
         assert lo == pytest.approx(0.0, abs=1e-30)
 
     def test_variance_interval_width(self):
-        records = noise_records(2600, seed=5)
-        lo, hi = bootstrap_ci(records, "sigma1", resamples=1000)
+        data = noise_run(2600, seed=5)
+        lo, hi = bootstrap_ci(data, "sigma1", resamples=1000)
         expected = 2 * math.sqrt(2 / 2599) * 0.5
         assert hi - lo == pytest.approx(expected, rel=0.2)
         # a central percentile interval brackets the point estimate itself
-        point = np.var([r.s1 for r in records], ddof=1)
+        point = np.var(data.s1, ddof=1)
         assert lo < point < hi
 
     def test_deterministic_given_seed(self):
-        records = noise_records(300, seed=9)
-        assert bootstrap_ci(records, "sigma_plus", seed=4) == bootstrap_ci(
-            records, "sigma_plus", seed=4
+        data = noise_run(300, seed=9)
+        assert bootstrap_ci(data, "sigma_plus", seed=4) == bootstrap_ci(
+            data, "sigma_plus", seed=4
         )
-        assert bootstrap_ci(records, "sigma_plus", seed=4) != bootstrap_ci(
-            records, "sigma_plus", seed=5
+        assert bootstrap_ci(data, "sigma_plus", seed=4) != bootstrap_ci(
+            data, "sigma_plus", seed=5
         )
 
     def test_coverage(self):
@@ -231,8 +226,7 @@ class TestBootstrap:
         hits = 0
         for rep in range(reps):
             x = master.normal(0.0, math.sqrt(0.5), size=n)
-            records = [ShotRecord(v, 0.0, 0.0, 0.0, 0.0) for v in x]
-            lo, hi = bootstrap_ci(records, "sigma1", resamples=400, seed=rep)
+            lo, hi = bootstrap_ci(columns(x, np.zeros(n)), "sigma1", resamples=400, seed=rep)
             hits += lo <= 0.5 <= hi
         assert abs(hits / reps - 0.683) <= 0.05
 
@@ -243,11 +237,11 @@ class TestBootstrap:
 
     def test_unknown_estimator(self):
         with pytest.raises(ValueError, match="unknown estimator"):
-            bootstrap_ci(noise_records(50), "median")
+            bootstrap_ci(noise_run(50), "median")
 
     def test_small_samples_rejected(self):
         with pytest.raises(InsufficientDataError):
-            bootstrap_ci(noise_records(9), "sigma1")
+            bootstrap_ci(noise_run(9), "sigma1")
 
 
 class TestFigureThreeCProperty:
