@@ -31,6 +31,7 @@ import numpy as np
 from . import stats
 from .montecarlo import (
     SequenceConfig,
+    is_finite_real,
     mean_kappa_sq,
     predict,
     run_kappa_sweep,
@@ -78,6 +79,17 @@ class ExperimentSpec:
             raise SpecError("photon_grid requires a physics_sheet")
 
 
+def _grid(raw: dict, key: str) -> tuple[float, ...] | None:
+    """The spec's ``key`` grid as a tuple of finite numbers, or None when absent."""
+    if raw.get(key) is None:
+        return None
+    grid = tuple(raw[key])
+    for value in grid:
+        if not is_finite_real(value):
+            raise ValueError(f"{key} entries must be finite numbers, got {value!r}")
+    return grid
+
+
 def spec_from_mapping(raw: dict, source: str = "<spec>") -> ExperimentSpec:
     if not isinstance(raw, dict):
         raise SpecError(f"{source}: expected a JSON object")
@@ -98,8 +110,8 @@ def spec_from_mapping(raw: dict, source: str = "<spec>") -> ExperimentSpec:
             name=str(raw.get("name", "")),
             physics_sheet=raw.get("physics_sheet"),
             sequence=sequence,
-            kappa_grid=tuple(raw["kappa_grid"]) if raw.get("kappa_grid") is not None else None,
-            photon_grid=tuple(raw["photon_grid"]) if raw.get("photon_grid") is not None else None,
+            kappa_grid=_grid(raw, "kappa_grid"),
+            photon_grid=_grid(raw, "photon_grid"),
             outputs=str(raw.get("outputs", "out")),
         )
     except (TypeError, ValueError) as exc:

@@ -1,17 +1,22 @@
 """Seeded shot-by-shot sampling of the two-pulse probe protocol.
 
 Reproducibility contract: shot ``i`` of a run consumes exactly
-``DRAWS_PER_SHOT`` uniform doubles taken from a counter-based Philox stream
-positioned at that shot's window, ``Philox(key=seed).advance(2*i)`` (the
-Philox counter emits four 64-bit words per tick and one double costs one
-word, so a window of 8 doubles is two counter ticks).  Normals come from the
-inverse CDF of those uniforms, never from rejection sampling, so the draw
-count per shot is fixed.  Any partition of the shot range into chunks,
-evaluated in any order or concurrently, therefore reproduces the exact same
-records bit for bit.
+``DRAWS_PER_SHOT`` raw 64-bit words of the counter-based Philox stream
+(Salmon et al., SC'11) positioned at that shot's window,
+``Philox(key=seed).advance(2*i)`` (the Philox counter emits four words per
+tick, so a window of 8 words is two counter ticks).  Each word becomes the
+uniform double ``(word >> 11) * 2**-53``, and each uniform a standard normal
+through :func:`ppnd16`, Wichura's AS241 inverse normal CDF (Applied
+Statistics 37:477, 1988), evaluated in this module with NumPy.  No rejection
+sampling is used, so the draw count per shot is fixed, and the bits depend
+only on the Philox counter function, this module's arithmetic and NumPy's
+float64 ``log`` and ``sqrt`` (the tail branch).  Any partition of the shot
+range into chunks, evaluated in any order or concurrently, therefore
+reproduces the exact same columns bit for bit.
 
-Per-shot slot layout (unused slots are drawn and discarded so the layout
-never shifts):
+Per-shot slot layout.  All 8 words are always drawn, so the layout never
+shifts; only the slots a configuration consumes (see :func:`_used_slots`) are
+transformed to normals, the others are drawn and discarded:
 
     0  atom-number scale (shot-to-shot coupling fluctuation)
     1  atomic z before pulse 1
@@ -26,13 +31,13 @@ never shifts):
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
-from numpy.random import Generator, Philox
-from scipy.special import ndtri
+from numpy.random import Philox
 
 from .gaussian_core import (
     ATOM,
@@ -48,6 +53,7 @@ from .gaussian_core import (
 DRAWS_PER_SHOT = 8
 _CHUNK_SHOTS = 8192
 _U64 = (1 << 64) - 1
+_UNIT = 2.0**-53  # a word's top 53 bits times this is a uniform double in [0, 1)
 
 MODES = ("qnd", "reinit")
 BASES = ("y", "z")
@@ -55,6 +61,15 @@ BASES = ("y", "z")
 # Atom-number draws are clipped below at this fraction of the mean so the
 # Gaussian tail cannot produce a negative atom number.
 MIN_ATOM_FRACTION = 0.1
+
+
+def is_finite_real(value) -> bool:
+    """True for a finite int or float (bool, str and NaN are not numbers here)."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 @dataclass(frozen=True)
@@ -79,6 +94,16 @@ class SequenceConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("shots", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.atom_fluctuation, bool):
+            raise TypeError(f"atom_fluctuation must be a boolean, got {self.atom_fluctuation!r}")
+        for name in ("kappa_nominal", "spin_rel_std", "eta"):
+            value = getattr(self, name)
+            if not is_finite_real(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.basis not in BASES:
@@ -175,45 +200,132 @@ class RunResult:
         return self.config.shots
 
 
-def shot_stream(seed: int, shot_index: int) -> Generator:
-    """Generator positioned at the start of shot ``shot_index``'s draw window."""
-    return Generator(Philox(key=seed).advance(2 * shot_index))
+# Wichura's AS241 (PPND16) coefficients, highest power first (Horner order).
+_CENTRAL_NUM = (
+    2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+    4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+    1.3314166789178437745e+2, 3.3871328727963666080e+0,
+)
+_CENTRAL_DEN = (
+    5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+    2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+    4.2313330701600911252e+1, 1.0,
+)
+_NEAR_NUM = (
+    7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+    1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
+    4.63033784615654529590e+0, 1.42343711074968357734e+0,
+)
+_NEAR_DEN = (
+    1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+    1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
+    2.05319162663775882187e+0, 1.0,
+)
+_FAR_NUM = (
+    2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+    2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
+    5.46378491116411436990e+0, 6.65790464350110377720e+0,
+)
+_FAR_DEN = (
+    2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+    7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+    5.99832206555887937690e-1, 1.0,
+)
 
 
-def _standard_normals(uniforms: np.ndarray) -> np.ndarray:
-    # Inverse-CDF transform; clip away exact zeros so ndtri stays finite.
-    return ndtri(np.maximum(uniforms, np.finfo(float).tiny))
+def _horner(coefs, r: np.ndarray) -> np.ndarray:
+    """((c0*r + c1)*r + ...)*r + c_last, rounded in that order."""
+    acc = coefs[0] * r
+    for c in coefs[1:-1]:
+        acc += c
+        acc *= r
+    acc += coefs[-1]
+    return acc
+
+
+def ppnd16(p) -> np.ndarray:
+    """Standard normal quantiles of probabilities ``p`` in (0, 1), elementwise.
+
+    Wichura's AS241 (PPND16): a rational approximation in q = p - 1/2 for
+    |q| <= 0.425, otherwise in r = sqrt(-log(min(p, 1 - p))), with a second
+    pair of polynomials beyond r = 5 (p below about 1.4e-11).  The
+    polynomials are evaluated in the order ``statistics.NormalDist.inv_cdf``
+    uses; results agree with it to about one ulp (NumPy's ``log`` may round
+    differently from the C library's).  The central form is evaluated
+    everywhere and the tail entries overwritten, which is cheaper than
+    splitting the array by a mask.
+    """
+    p = np.asarray(p, dtype=float)
+    shape = p.shape
+    p = p.ravel()
+    q = p - 0.5
+    r = 0.180625 - q * q
+    x = q * _horner(_CENTRAL_NUM, r)
+    x /= _horner(_CENTRAL_DEN, r)
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    pt = p[tail]
+    r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+    s = r - 1.6
+    xt = _horner(_NEAR_NUM, s) / _horner(_NEAR_DEN, s)
+    far = np.flatnonzero(r > 5.0)
+    s = r[far] - 5.0
+    xt[far] = _horner(_FAR_NUM, s) / _horner(_FAR_DEN, s)
+    x[tail] = np.copysign(xt, q[tail])
+    return x.reshape(shape)
+
+
+def window_uniforms(seed: int, start: int, n: int) -> np.ndarray:
+    """Uniform doubles of shots ``start .. start + n - 1``, one row per shot.
+
+    Row ``i`` holds the ``DRAWS_PER_SHOT`` raw Philox words of shot
+    ``start + i``, each mapped to ``(word >> 11) * 2**-53``.
+    """
+    words = Philox(key=seed).advance(2 * start).random_raw(n * DRAWS_PER_SHOT)
+    return ((words >> 11) * _UNIT).reshape(n, DRAWS_PER_SHOT)
+
+
+def _used_slots(config: SequenceConfig) -> list[int]:
+    """The window slots ``config`` turns into normals, in ascending order."""
+    slots = {1, 3, 4}
+    if config.atom_fluctuation and config.spin_rel_std > 0.0:
+        slots.add(0)
+    if config.mode == "reinit":
+        slots.add(2)
+    if config.eta < 1.0:
+        slots |= {5, 6}
+    return sorted(slots)
 
 
 def _columns_from_uniforms(config: SequenceConfig, u: np.ndarray):
     """Map an (n, DRAWS_PER_SHOT) uniform block to the five record columns."""
-    z = _standard_normals(u)
+    slots = _used_slots(config)
+    # one transform of the gathered slots; clip exact zeros so AS241 stays finite
+    z = dict(zip(slots, ppnd16(np.maximum(u.T[slots], np.finfo(float).tiny))))
     root_half = math.sqrt(0.5)
 
-    if config.atom_fluctuation and config.spin_rel_std > 0.0:
-        atom_scale = np.maximum(1.0 + config.spin_rel_std * z[:, 0], MIN_ATOM_FRACTION)
+    if 0 in z:
+        atom_scale = np.maximum(1.0 + config.spin_rel_std * z[0], MIN_ATOM_FRACTION)
         kappa_shot = config.kappa_nominal * np.sqrt(atom_scale)
     else:
-        kappa_shot = np.full(len(z), config.kappa_nominal)
+        kappa_shot = np.full(len(u), config.kappa_nominal)
 
-    jz1 = root_half * z[:, 1]
-    jz2 = jz1 if config.mode == "qnd" else root_half * z[:, 2]
+    jz1 = root_half * z[1]
+    jz2 = jz1 if config.mode == "qnd" else root_half * z[2]
 
-    s1 = root_half * z[:, 3]
-    s2 = root_half * z[:, 4]
+    s1 = root_half * z[3]
+    s2 = root_half * z[4]
     if config.basis == "y":
         s1 = s1 + kappa_shot * jz1
         s2 = s2 + kappa_shot * jz2
     if config.eta < 1.0:
         refill = math.sqrt((1.0 - config.eta**2) * 0.5)
-        s1 = config.eta * s1 + refill * z[:, 5]
-        s2 = config.eta * s2 + refill * z[:, 6]
+        s1 = config.eta * s1 + refill * z[5]
+        s2 = config.eta * s2 + refill * z[6]
     return s1, s2, jz1, jz2, kappa_shot
 
 
 def _chunk_columns(config: SequenceConfig, start: int, n: int):
-    u = shot_stream(config.seed, start).random(n * DRAWS_PER_SHOT)
-    return _columns_from_uniforms(config, u.reshape(n, DRAWS_PER_SHOT))
+    return _columns_from_uniforms(config, window_uniforms(config.seed, start, n))
 
 
 def run_sequence(config: SequenceConfig, workers: int = 1) -> RunResult:

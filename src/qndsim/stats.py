@@ -23,7 +23,7 @@ PARALLELOGRAM_TOL = 1e-9
 DEFAULT_BINS = 21
 # Bin range +/-2.5 sigma keeps >= 98% of Gaussian data; bins with fewer than
 # two shots cannot carry a Bessel-corrected variance and are dropped.
-DEFAULT_HALF_RANGE_SIGMAS = 2.5
+HALF_RANGE_SIGMAS = 2.5
 MIN_BIN_COUNT = 2
 
 
@@ -130,7 +130,7 @@ def variances(data: RunResult) -> VarianceSummary:
     )
 
 
-def _binned(s1, s2, n_bins, half_range_sigmas, count_weighted):
+def _binned(s1, s2, n_bins):
     """Shared binning kernel; returns (sigma_cond, se, edges, counts, bin_vars)."""
     n = len(s1)
     if n < 2 * MIN_BIN_COUNT:
@@ -140,7 +140,7 @@ def _binned(s1, s2, n_bins, half_range_sigmas, count_weighted):
     if spread == 0.0:
         raise InsufficientDataError("s1 has zero spread, cannot bin")
     edges = np.linspace(
-        center - half_range_sigmas * spread, center + half_range_sigmas * spread, n_bins + 1
+        center - HALF_RANGE_SIGMAS * spread, center + HALF_RANGE_SIGMAS * spread, n_bins + 1
     )
     idx = np.digitize(s1, edges) - 1
     idx[s1 == edges[-1]] = n_bins - 1  # keep the inclusive upper boundary
@@ -156,45 +156,27 @@ def _binned(s1, s2, n_bins, half_range_sigmas, count_weighted):
     c = counts[usable].astype(float)
     bin_var = np.full(n_bins, math.nan)
     bin_var[usable] = (sq[usable] - sums[usable] ** 2 / c) / (c - 1.0)
-    weights = c if count_weighted else np.ones_like(c)
-    sigma_cond = float(np.sum(weights * bin_var[usable]) / weights.sum())
+    sigma_cond = float(np.sum(c * bin_var[usable]) / c.sum())
     # per-bin Var(variance) ~ 2*sigma^4/(n_b - 1), pooled sigma^4.
-    se = float(sigma_cond * math.sqrt(2.0 * np.sum(weights**2 / (c - 1.0))) / weights.sum())
+    se = float(sigma_cond * math.sqrt(2.0 * np.sum(c**2 / (c - 1.0))) / c.sum())
     return sigma_cond, se, edges, counts, bin_var
 
 
-def binned_conditional(
-    data: RunResult,
-    n_bins: int = DEFAULT_BINS,
-    half_range_sigmas: float = DEFAULT_HALF_RANGE_SIGMAS,
-    kappa: float | None = None,
-    count_weighted: bool = True,
-) -> ConditionalResult:
+def binned_conditional(data: RunResult, n_bins: int = DEFAULT_BINS) -> ConditionalResult:
     """Conditional variance of s2 from equal-width bins of s1.
 
-    Bins cover mean(s1) +/- half_range_sigmas * std(s1); shots outside are
+    Bins cover mean(s1) +/- HALF_RANGE_SIGMAS * std(s1); shots outside are
     excluded.  sigma_cond averages the per-bin variances of s2 over bins with
-    at least two shots, weighted by bin count (or uniformly when
-    ``count_weighted`` is off).  ``kappa`` converts the conditioning gain to a
-    squeezing figure; when omitted it is taken from the records' own per-shot
-    couplings.  squeezing_db is NaN at zero coupling (undefined) and +inf when
-    sigma_cond does not exceed the shot-noise floor (finite-sample artifact).
+    at least two shots, weighted by bin count.  squeezing_db is taken at the
+    records' rms per-shot coupling; it is NaN at zero coupling (undefined)
+    and +inf when sigma_cond does not exceed the shot-noise floor (see
+    :func:`squeezing_db`).
     """
     if n_bins < 1:
         raise ValueError("n_bins must be at least 1")
-    if half_range_sigmas <= 0:
-        raise ValueError("half_range_sigmas must be positive")
-    sigma_cond, se, edges, counts, bin_var = _binned(
-        data.s1, data.s2, n_bins, half_range_sigmas, count_weighted
-    )
-    if kappa is None:
-        kappa = math.sqrt(float(np.mean(data.kappa_shot**2)))
-    if kappa == 0.0:
-        db = math.nan
-    elif sigma_cond <= 0.5:
-        db = math.inf
-    else:
-        db = squeezing_db(sigma_cond, kappa)
+    sigma_cond, se, edges, counts, bin_var = _binned(data.s1, data.s2, n_bins)
+    kappa = math.sqrt(float(np.mean(data.kappa_shot**2)))
+    db = squeezing_db(sigma_cond, kappa) if kappa else math.nan
     return ConditionalResult(
         sigma_cond=sigma_cond,
         n_bins=n_bins,
@@ -224,7 +206,7 @@ def squeezing_db(sigma_cond: float, kappa: float) -> float:
 
 
 def _est_sigma_cond(s1, s2):
-    value, _, _, _, _ = _binned(s1, s2, DEFAULT_BINS, DEFAULT_HALF_RANGE_SIGMAS, True)
+    value, _, _, _, _ = _binned(s1, s2, DEFAULT_BINS)
     return value
 
 

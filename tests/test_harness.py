@@ -339,6 +339,31 @@ class TestCliEntry:
         bad.write_text("{")
         assert main(["sweep", "--spec", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "sequence, grids, message",
+        [
+            ({"shots": 2600.5}, {}, "shots must be an integer, got 2600.5"),
+            ({"seed": 1.5}, {}, "seed must be an integer, got 1.5"),
+            ({"shots": True}, {}, "shots must be an integer, got True"),
+            ({"atom_fluctuation": 1}, {}, "atom_fluctuation must be a boolean, got 1"),
+            ({"kappa_nominal": "0.62"}, {}, "kappa_nominal must be a finite number, got '0.62'"),
+            ({"eta": math.nan}, {}, "eta must be a finite number, got nan"),
+            ({"spin_rel_std": math.inf}, {}, "spin_rel_std must be a finite number, got inf"),
+            ({}, {"kappa_grid": ["0.3"]}, "kappa_grid entries must be finite numbers, got '0.3'"),
+            ({}, {"kappa_grid": [0.3, math.nan]}, "kappa_grid entries must be finite numbers, got nan"),
+            ({}, {"kappa_grid": None, "physics_sheet": "yb171", "photon_grid": [1e6, False]},
+             "photon_grid entries must be finite numbers, got False"),
+        ],
+        ids=["float_shots", "float_seed", "bool_shots", "int_flag", "str_kappa", "nan_eta",
+             "inf_spread", "str_grid", "nan_grid", "bool_photons"],
+    )
+    def test_mistyped_spec_values_exit_2(self, tmp_path, capsys, sequence, grids, message):
+        base = {"mode": "qnd", "kappa_nominal": 0.62, "shots": 2600, "seed": SEED}
+        path = write_spec(tmp_path, sequence={**base, **sequence}, **grids)
+        assert main(["sweep", "--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_io_error_exit_code(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")

@@ -2,24 +2,35 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy.integrate import quad
+from scipy.special import ndtri
 
+import qndsim
 from qndsim.montecarlo import (
     DRAWS_PER_SHOT,
     MIN_ATOM_FRACTION,
     RunResult,
     SequenceConfig,
+    _columns_from_uniforms,
+    _used_slots,
     mean_kappa_sq,
+    ppnd16,
     predict,
     run_kappa_sweep,
     run_sequence,
-    shot_stream,
     sweep_seed,
+    window_uniforms,
 )
 
 SEED = 61803398
@@ -55,6 +66,16 @@ class TestConfigValidation:
             cfg(seed=-1)
         with pytest.raises(ValueError):
             cfg(seed=1 << 64)
+
+    def test_rejects_mistyped_values(self):
+        for bad in ({"shots": 2600.0}, {"seed": True}, {"atom_fluctuation": 1}):
+            with pytest.raises(TypeError):
+                cfg(**bad)
+        for bad in ({"kappa_nominal": "0.62"}, {"eta": math.nan}, {"spin_rel_std": -math.inf},
+                    {"kappa_nominal": False}):
+            with pytest.raises(ValueError):
+                cfg(**bad)
+        assert cfg(shots=np.int64(8), kappa_nominal=1, eta=np.float64(0.5)).shots == 8
 
 
 class TestSampling:
@@ -149,16 +170,82 @@ class TestDeterminism:
         for name in ("s1", "s2", "jz1", "jz2", "kappa_shot"):
             assert np.array_equal(getattr(full, name)[:k], getattr(prefix, name))
 
-    def test_shot_stream_window_size(self):
-        # consecutive windows tile the full stream
-        u_full = shot_stream(SEED, 0).random(3 * DRAWS_PER_SHOT)
-        u_2 = shot_stream(SEED, 2).random(DRAWS_PER_SHOT)
-        assert np.array_equal(u_full[2 * DRAWS_PER_SHOT :], u_2)
+    def test_window_uniforms_tile_the_stream(self):
+        # consecutive windows tile the full stream, whose words map to the
+        # same doubles as Generator.random
+        u_full = window_uniforms(SEED, 0, 3)
+        assert u_full.shape == (3, DRAWS_PER_SHOT)
+        assert np.array_equal(u_full[2:], window_uniforms(SEED, 2, 1))
+        stream = Generator(Philox(key=SEED)).random(3 * DRAWS_PER_SHOT)
+        assert np.array_equal(u_full.ravel(), stream)
+
+    @pytest.mark.parametrize(
+        "settings",
+        [{}, {"mode": "reinit"}, {"eta": 0.8}, {"atom_fluctuation": True, "spin_rel_std": 0.05}],
+        ids=["lossless", "reinit", "lossy", "spread"],
+    )
+    def test_unused_slots_are_not_read(self, settings):
+        config = cfg(shots=100, **settings)
+        u = window_uniforms(SEED, 0, 100)
+        poisoned = u.copy()
+        poisoned[:, [k for k in range(DRAWS_PER_SHOT) if k not in _used_slots(config)]] = np.nan
+        for a, b in zip(_columns_from_uniforms(config, u),
+                        _columns_from_uniforms(config, poisoned)):
+            assert np.array_equal(a, b)
 
     def test_default_point_runs_fast(self):
         start = time.perf_counter()
         run_sequence(cfg())
         assert time.perf_counter() - start < 1.0
+
+
+class TestPpnd16:
+    """AS241 against the stdlib's scalar implementation of the same algorithm."""
+
+    # the branch edges: |q| = 0.425, r = 5 (p = exp(-25)), and the extremes
+    EDGES = [
+        0.075, 0.925, math.nextafter(0.075, 0.0), math.nextafter(0.925, 1.0),
+        math.exp(-25.0), math.nextafter(math.exp(-25.0), 0.0),
+        math.nextafter(math.exp(-25.0), 1.0), 1.0 - math.exp(-25.0),
+        1e-300, 2.0**-53, 1.0 - 2.0**-53, 0.5, np.finfo(float).tiny,
+    ]
+
+    def test_matches_stdlib(self):
+        p = np.concatenate([window_uniforms(SEED, 0, 5000).ravel(), self.EDGES])
+        inv_cdf = NormalDist().inv_cdf
+        expected = np.array([inv_cdf(v) for v in p.tolist()])
+        assert np.max(np.abs(ppnd16(p) - expected)) <= 1e-15
+
+    def test_monotone(self):
+        p = np.sort(window_uniforms(SEED, 0, 5000).ravel())
+        assert np.all(np.diff(ppnd16(p)) >= 0.0)
+        # next to the branch edges AS241 itself (the stdlib's evaluation too)
+        # can step back by one ulp, on the sampler's 2**-53 lattice and below it
+        for edge in (0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)):
+            lattice = (round(edge * 2.0**53) + np.arange(-3000, 3001)) * 2.0**-53
+            finest = [edge]
+            for _ in range(100):
+                finest = [math.nextafter(finest[0], 0.0), *finest, math.nextafter(finest[-1], 1.0)]
+            for grid in (lattice, np.array(finest)):
+                x = ppnd16(grid)
+                assert np.all(np.diff(x) >= -np.spacing(np.abs(x[1:])))
+
+    def test_matches_scipy_ndtri(self):
+        p = np.concatenate([window_uniforms(SEED, 0, 5000).ravel(), self.EDGES])
+        np.testing.assert_allclose(ppnd16(p), ndtri(p), rtol=1e-14, atol=1e-14)
+
+    def test_keeps_shape(self):
+        p = window_uniforms(SEED, 0, 4)
+        assert ppnd16(p).shape == p.shape
+        assert np.array_equal(ppnd16(p).ravel(), ppnd16(p.ravel()))
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, qndsim; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(qndsim.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 class TestSweep:

@@ -131,17 +131,6 @@ class TestBinnedConditional:
         residual = float(np.var(result.s2 - beta * result.s1, ddof=2))
         assert abs(cond.sigma_cond - residual) < 2e-3
 
-    def test_weighting_flag(self):
-        result = run()
-        weighted = binned_conditional(result)
-        uniform = binned_conditional(result, count_weighted=False)
-        assert weighted.sigma_cond != uniform.sigma_cond
-        assert abs(weighted.sigma_cond - uniform.sigma_cond) < 0.05
-
-    def test_explicit_kappa_overrides_records(self):
-        cond = binned_conditional(run(), kappa=1.0)
-        assert cond.squeezing_db == squeezing_db(cond.sigma_cond, 1.0)
-
     def test_degenerate_inputs(self):
         with pytest.raises(InsufficientDataError):
             binned_conditional(columns(np.full(40, 1.0), np.full(40, 0.5)))  # zero spread
@@ -149,8 +138,6 @@ class TestBinnedConditional:
             binned_conditional(noise_run(40), n_bins=1)  # one usable bin
         with pytest.raises(ValueError):
             binned_conditional(noise_run(40), n_bins=0)
-        with pytest.raises(ValueError):
-            binned_conditional(noise_run(40), half_range_sigmas=0.0)
 
 
 class TestExactConditional:
