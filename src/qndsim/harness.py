@@ -11,6 +11,12 @@ across seeds.  Every emitted file is listed in exactly one manifest together
 with its content hash, the resolved spec, and the seed, so a run can be
 reproduced byte for byte.
 
+Every file goes through one write path, in a single pass: a table is
+formatted whole (one ``%`` operation, 9 significant digits), written, and
+hashed from the bytes written; the manifest takes those digests and never
+re-reads a file.  Sweeps summarise each run as it is sampled, so only one
+run's columns are in memory at a time.
+
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 statistical check
 failure (with --check).
 """
@@ -81,13 +87,15 @@ class ExperimentSpec:
 
 def _grid(raw: dict, key: str) -> tuple[float, ...] | None:
     """The spec's ``key`` grid as a tuple of finite numbers, or None when absent."""
-    if raw.get(key) is None:
+    grid = raw.get(key)
+    if grid is None:
         return None
-    grid = tuple(raw[key])
+    if not isinstance(grid, (list, tuple)):
+        raise ValueError(f"{key} must be a list of finite numbers, got {grid!r}")
     for value in grid:
         if not is_finite_real(value):
             raise ValueError(f"{key} entries must be finite numbers, got {value!r}")
-    return grid
+    return tuple(grid)
 
 
 def spec_from_mapping(raw: dict, source: str = "<spec>") -> ExperimentSpec:
@@ -171,28 +179,30 @@ class FigureBundle:
     manifest: dict
 
 
+_FMT = "%.9g"  # every number the harness writes or prints
+
+
 def _fmt(x) -> str:
-    return f"{x:.9g}"
+    return _FMT % x
 
 
 def _round9(x: float) -> float:
     return float(_fmt(x))
 
 
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+def _write_text(path: Path, text: str) -> str:
+    """Write ``text`` to ``path``; return the sha256 of the bytes written."""
+    data = text.encode()
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _write_csv(path: Path, header: str, table) -> str:
+    """Write an (n, k) table under ``header``, formatted by one ``%``; return its sha256."""
+    table = np.asarray(table, dtype=float)
+    n, k = table.shape
+    row = ",".join([_FMT] * k) + "\n"
+    return _write_text(path, header + "\n" + (row * n) % tuple(table.ravel().tolist()))
 
 
 def _json_ready(obj):
@@ -206,8 +216,14 @@ def _json_ready(obj):
 
 
 def _emit_manifest(
-    outdir: Path, spec: ExperimentSpec, figure_id: str, files: list[Path]
-) -> dict:
+    outdir: Path,
+    spec: ExperimentSpec,
+    figure_id: str,
+    data: dict[Path, str],
+    theory: dict[Path, str] | None = None,
+) -> FigureBundle:
+    """Write the manifest of a figure's files, given as path -> sha256; return the bundle."""
+    theory = theory or {}
     # the embedded spec is kept at full float precision: feeding it back into
     # spec_from_mapping must reproduce the data files byte for byte
     manifest = {
@@ -215,14 +231,19 @@ def _emit_manifest(
         "figure": figure_id,
         "seed": spec.sequence.seed,
         "spec": asdict(spec),
-        "files": {p.name: _sha256(p) for p in files},
+        "files": {p.name: digest for p, digest in {**data, **theory}.items()},
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     _write_text(
         outdir / f"{spec.name}_{figure_id}_manifest.json",
         json.dumps(manifest, indent=1, sort_keys=True) + "\n",
     )
-    return manifest
+    return FigureBundle(
+        figure_id=figure_id,
+        data_files=tuple(map(str, data)),
+        theory_files=tuple(map(str, theory)),
+        manifest=manifest,
+    )
 
 
 def _outdir(spec: ExperimentSpec) -> Path:
@@ -282,13 +303,12 @@ def cmd_joint(spec: ExperimentSpec, workers: int = 1) -> FigureBundle:
         "b": replace(seq, basis="y", seed=sweep_seed(seq.seed, 1)),
         "c": replace(seq, basis="z", seed=sweep_seed(seq.seed, 2)),
     }
-    data_files = []
+    data = {}
     summary = {"config": asdict(seq), "panels": {}}
     for panel, cfg in panels.items():
         result = run_sequence(cfg, workers=workers)
         path = outdir / f"{spec.name}_joint_{panel}.csv"
-        _write_csv(path, "s1,s2", zip(result.s1.tolist(), result.s2.tolist()))
-        data_files.append(path)
+        data[path] = _write_csv(path, "s1,s2", np.column_stack((result.s1, result.s2)))
         vs = stats.variances(result)
         summary["panels"][panel] = {
             "kappa": cfg.kappa_nominal,
@@ -298,15 +318,10 @@ def cmd_joint(spec: ExperimentSpec, workers: int = 1) -> FigureBundle:
             **vs.to_dict(),
         }
     summary_path = outdir / f"{spec.name}_joint_summary.json"
-    _write_text(summary_path, json.dumps(_json_ready(summary), indent=1) + "\n")
-    data_files.append(summary_path)
-    manifest = _emit_manifest(outdir, spec, "joint_y", data_files)
-    return FigureBundle(
-        figure_id="joint_y",
-        data_files=tuple(str(p) for p in data_files),
-        theory_files=(),
-        manifest=manifest,
+    data[summary_path] = _write_text(
+        summary_path, json.dumps(_json_ready(summary), indent=1) + "\n"
     )
+    return _emit_manifest(outdir, spec, "joint_y", data)
 
 
 def _theory_kappas(grid: list[float]) -> np.ndarray:
@@ -333,14 +348,14 @@ def cmd_variance_sweep(
     outdir = _outdir(spec)
     grid = resolve_kappa_grid(spec)
     modes = [mode] if mode else ["qnd", "reinit"]
-    data_files = []
+    data = {}
     failures = []
     for m in modes:
         base = replace(spec.sequence, mode=m)
-        results = run_kappa_sweep(base, grid, workers=workers)
+        # each run is dropped once summarised: one run's columns are held at a time
+        summaries = map(stats.variances, run_kappa_sweep(base, grid, workers=workers))
         rows = []
-        for kappa, result in zip(grid, results):
-            vs = stats.variances(result)
+        for kappa, vs in zip(grid, summaries):
             rows.append(
                 (
                     kappa,
@@ -366,29 +381,23 @@ def cmd_variance_sweep(
                     ),
                 )
         path = outdir / f"{spec.name}_variance_{m}.csv"
-        _write_csv(
+        data[path] = _write_csv(
             path,
             "kappa,sigma1,sigma2,sigma_plus,sigma_minus,"
             "se_sigma1,se_sigma2,se_plus,se_minus",
             rows,
         )
-        data_files.append(path)
     qnd = replace(spec.sequence, mode="qnd")
     theory = []
     for k in _theory_kappas(grid):
         model = predict(replace(qnd, kappa_nominal=float(k)))
         theory.append((k, model.var1, model.sigma_plus, model.sigma_minus))
     theory_path = outdir / f"{spec.name}_variance_theory.csv"
-    _write_csv(theory_path, "kappa,individual,plus,minus", theory)
-    manifest = _emit_manifest(outdir, spec, "variance_sweep", data_files + [theory_path])
+    theory_digest = _write_csv(theory_path, "kappa,individual,plus,minus", theory)
+    bundle = _emit_manifest(outdir, spec, "variance_sweep", data, {theory_path: theory_digest})
     if failures:
         raise CheckFailure("; ".join(failures))
-    return FigureBundle(
-        figure_id="variance_sweep",
-        data_files=tuple(str(p) for p in data_files),
-        theory_files=(str(theory_path),),
-        manifest=manifest,
-    )
+    return bundle
 
 
 def cmd_conditional_sweep(
@@ -397,12 +406,14 @@ def cmd_conditional_sweep(
     """Conditioned-variance (and squeezing) table over the kappa grid."""
     outdir = _outdir(spec)
     grid = resolve_kappa_grid(spec)
-    results = run_kappa_sweep(spec.sequence, grid, workers=workers)
+    # each run is dropped once summarised: one run's columns are held at a time
+    summaries = map(
+        lambda run: (stats.variances(run), stats.binned_conditional(run)),
+        run_kappa_sweep(spec.sequence, grid, workers=workers),
+    )
     rows = []
     failures = []
-    for kappa, result in zip(grid, results):
-        vs = stats.variances(result)
-        cond = stats.binned_conditional(result)
+    for kappa, (vs, cond) in zip(grid, summaries):
         rows.append(
             (
                 kappa,
@@ -428,7 +439,7 @@ def cmd_conditional_sweep(
                 ),
             )
     data_path = outdir / f"{spec.name}_conditional.csv"
-    _write_csv(
+    data_digest = _write_csv(
         data_path,
         "kappa,sigma2_minus_half,sigma_cond_minus_half,squeezing_db,se_sigma2,se_cond",
         rows,
@@ -442,18 +453,15 @@ def cmd_conditional_sweep(
         ideal = stats.squeezing_db(model.cond, kappa_rms) if k else math.nan
         theory.append((k, model.var2 - 0.5, model.cond - 0.5, ideal))
     theory_path = outdir / f"{spec.name}_conditional_theory.csv"
-    _write_csv(
+    theory_digest = _write_csv(
         theory_path, "kappa,total_excess,conditional_excess,squeezing_db_ideal", theory
     )
-    manifest = _emit_manifest(outdir, spec, "conditional_sweep", [data_path, theory_path])
+    bundle = _emit_manifest(
+        outdir, spec, "conditional_sweep", {data_path: data_digest}, {theory_path: theory_digest}
+    )
     if failures:
         raise CheckFailure("; ".join(failures))
-    return FigureBundle(
-        figure_id="conditional_sweep",
-        data_files=(str(data_path),),
-        theory_files=(str(theory_path),),
-        manifest=manifest,
-    )
+    return bundle
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from statistics import NormalDist
@@ -361,15 +362,18 @@ def sweep_seed(base_seed: int, index: int) -> int:
 
 def run_kappa_sweep(
     base_config: SequenceConfig, kappa_values, workers: int = 1
-) -> list[RunResult]:
-    """One run per coupling value, each on its own derived seed."""
-    kappas = list(kappa_values)
-    if not kappas:
+) -> Iterator[RunResult]:
+    """One run per coupling value, each on its own derived seed.
+
+    The grid is checked now, every point's configuration included; the runs
+    are sampled one at a time as the returned iterator is consumed, so a
+    caller that summarises each run before taking the next holds a single
+    run's columns.
+    """
+    configs = [
+        replace(base_config, kappa_nominal=kappa, seed=sweep_seed(base_config.seed, i))
+        for i, kappa in enumerate(kappa_values)
+    ]
+    if not configs:
         raise ValueError("kappa_values must be non-empty")
-    results = []
-    for i, kappa in enumerate(kappas):
-        cfg = replace(
-            base_config, kappa_nominal=kappa, seed=sweep_seed(base_config.seed, i)
-        )
-        results.append(run_sequence(cfg, workers=workers))
-    return results
+    return (run_sequence(config, workers=workers) for config in configs)

@@ -10,15 +10,12 @@ bootstrap is available as an independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .montecarlo import RunResult
-
-# Identity tolerance for sigma_plus + sigma_minus = sigma1 + sigma2.
-PARALLELOGRAM_TOL = 1e-9
 
 DEFAULT_BINS = 21
 # Bin range +/-2.5 sigma keeps >= 98% of Gaussian data; bins with fewer than
@@ -45,27 +42,8 @@ class VarianceSummary:
     se_minus: float
     n: int
 
-    def __post_init__(self):
-        for name in ("sigma1", "sigma2", "sigma_plus", "sigma_minus"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        lhs = self.sigma_plus + self.sigma_minus
-        rhs = self.sigma1 + self.sigma2
-        if abs(lhs - rhs) > PARALLELOGRAM_TOL * max(1.0, abs(rhs)):
-            raise ValueError("parallelogram identity violated")
-
     def to_dict(self) -> dict:
-        return {
-            "sigma1": self.sigma1,
-            "sigma2": self.sigma2,
-            "sigma_plus": self.sigma_plus,
-            "sigma_minus": self.sigma_minus,
-            "se_sigma1": self.se_sigma1,
-            "se_sigma2": self.se_sigma2,
-            "se_plus": self.se_plus,
-            "se_minus": self.se_minus,
-            "n": self.n,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -78,26 +56,6 @@ class ConditionalResult:
     per_bin: tuple[tuple[int, float], ...]
     squeezing_db: float
     se_cond: float
-
-    def __post_init__(self):
-        if self.n_bins < 1:
-            raise ValueError("n_bins must be at least 1")
-        if self.sigma_cond < 0:
-            raise ValueError("sigma_cond must be non-negative")
-        if len(self.bin_edges) != self.n_bins + 1:
-            raise ValueError("bin_edges must have n_bins + 1 entries")
-        if len(self.per_bin) != self.n_bins:
-            raise ValueError("per_bin must have n_bins entries")
-
-    def to_dict(self) -> dict:
-        return {
-            "sigma_cond": self.sigma_cond,
-            "n_bins": self.n_bins,
-            "bin_edges": list(self.bin_edges),
-            "per_bin": [[c, v] for c, v in self.per_bin],
-            "squeezing_db": self.squeezing_db,
-            "se_cond": self.se_cond,
-        }
 
 
 def _var(x: np.ndarray) -> float:

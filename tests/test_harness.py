@@ -1,10 +1,12 @@
 """Tests for the CLI harness: specs, figure bundles, manifests, exit codes."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qndsim import harness
@@ -302,6 +304,22 @@ class TestDeterminismAndBundles:
             fig.data_files[0]
         ).read_bytes()
 
+    @pytest.mark.parametrize("command", [cmd_joint, cmd_variance_sweep, cmd_conditional_sweep])
+    def test_manifest_digests_match_files_on_disk(self, tmp_path, command):
+        # the digests are taken from the bytes as written, never re-read
+        spec = make_spec(tmp_path, sequence={"mode": "qnd", "kappa_nominal": 0.62,
+                                             "shots": 300, "seed": SEED})
+        fig = command(spec)
+        outdir = Path(spec.outputs)
+        stored = json.loads(
+            (outdir / f"t_{fig.figure_id}_manifest.json").read_text()
+        )
+        assert stored["files"] == fig.manifest["files"]
+        emitted = fig.data_files + fig.theory_files
+        assert sorted(stored["files"]) == sorted(Path(p).name for p in emitted)
+        for name, digest in stored["files"].items():
+            assert hashlib.sha256((outdir / name).read_bytes()).hexdigest() == digest
+
     def test_workers_byte_identical(self, tmp_path):
         spec_a = make_spec(tmp_path, outputs=str(tmp_path / "w1"))
         spec_b = make_spec(tmp_path, outputs=str(tmp_path / "w4"))
@@ -353,9 +371,16 @@ class TestCliEntry:
             ({}, {"kappa_grid": [0.3, math.nan]}, "kappa_grid entries must be finite numbers, got nan"),
             ({}, {"kappa_grid": None, "physics_sheet": "yb171", "photon_grid": [1e6, False]},
              "photon_grid entries must be finite numbers, got False"),
+            ({}, {"kappa_grid": "abc"}, "kappa_grid must be a list of finite numbers, got 'abc'"),
+            ({}, {"kappa_grid": {"a": 1}},
+             "kappa_grid must be a list of finite numbers, got {'a': 1}"),
+            ({}, {"kappa_grid": 3}, "kappa_grid must be a list of finite numbers, got 3"),
+            ({}, {"kappa_grid": None, "physics_sheet": "yb171", "photon_grid": 3.2e6},
+             "photon_grid must be a list of finite numbers, got 3200000.0"),
         ],
         ids=["float_shots", "float_seed", "bool_shots", "int_flag", "str_kappa", "nan_eta",
-             "inf_spread", "str_grid", "nan_grid", "bool_photons"],
+             "inf_spread", "str_grid", "nan_grid", "bool_photons", "string_grid",
+             "object_grid", "scalar_grid", "scalar_photons"],
     )
     def test_mistyped_spec_values_exit_2(self, tmp_path, capsys, sequence, grids, message):
         base = {"mode": "qnd", "kappa_nominal": 0.62, "shots": 2600, "seed": SEED}
@@ -401,3 +426,56 @@ class TestSpecTypes:
         seq = SequenceConfig(mode="qnd", kappa_nominal=0.3)
         with pytest.raises(SpecError):
             ExperimentSpec(name="x", sequence=seq, kappa_grid=(0.1,), photon_grid=(1.0,))
+
+
+class TestCsvWriter:
+    """The one-operation table formatter against the per-value f-string."""
+
+    @staticmethod
+    def reference(header, rows) -> bytes:
+        lines = [header] + [",".join(f"{x:.9g}" for x in row) for row in rows]
+        return ("\n".join(lines) + "\n").encode()
+
+    def assert_same_bytes(self, tmp_path, rows, header="a"):
+        path = tmp_path / "table.csv"
+        digest = harness._write_csv(path, header, rows)
+        written = path.read_bytes()
+        assert written == self.reference(header, rows)
+        assert digest == hashlib.sha256(written).hexdigest()
+
+    def test_random_bit_patterns(self, tmp_path):
+        words = np.random.default_rng(20081209).integers(0, 2**64, size=(25_000, 4),
+                                                         dtype=np.uint64)
+        table = words.view(np.float64)
+        self.assert_same_bytes(tmp_path, table.tolist(), header="w,x,y,z")
+
+    def test_special_values_and_subnormals(self, tmp_path):
+        tiny = np.finfo(float).tiny
+        mantissas = np.random.default_rng(7).integers(1, 2**52, size=2000, dtype=np.uint64)
+        subnormals = mantissas.view(np.float64)
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, tiny,
+                    np.nextafter(tiny, 0.0), np.finfo(float).max, -np.finfo(float).max]
+        values = np.concatenate([specials, subnormals, -subnormals])
+        self.assert_same_bytes(tmp_path, values.reshape(-1, 1).tolist())
+
+    def test_rounding_edges(self, tmp_path):
+        # decimal ties at the 10th significant digit and their float neighbours
+        edges = [999999999.5, 9.9999999995e-05, 0.99999999995, 1.00000000005,
+                 123456789.5, 1e16, 9.999999995e22, 0.5, 2.5e-9]
+        digits = np.random.default_rng(11).integers(10**9, 10**10, size=2000) // 10 * 10 + 5
+        exponents = np.random.default_rng(12).integers(-320, 300, size=2000)
+        ties = [float(f"{d}e{e}") for d, e in zip(digits.tolist(), exponents.tolist())]
+        values = np.array(edges + ties)
+        values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+        values = np.concatenate([values, -values])
+        self.assert_same_bytes(tmp_path, values.reshape(-1, 3).tolist())
+
+    def test_integer_grid_entries(self, tmp_path):
+        # a JSON grid may hold ints; they were formatted as ints before
+        rows = [(0, 0.5, 1), (3, 0.25, -2), (1234567891, 7, 10**15)]
+        self.assert_same_bytes(tmp_path, rows, header="kappa,x,y")
+
+    @pytest.mark.parametrize("shape", [(1, 5), (7, 1), (1, 1)])
+    def test_one_row_or_one_column(self, tmp_path, shape):
+        rows = np.random.default_rng(3).normal(size=shape).tolist()
+        self.assert_same_bytes(tmp_path, rows)

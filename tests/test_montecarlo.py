@@ -17,6 +17,7 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 
 import qndsim
+from qndsim import montecarlo
 from qndsim.montecarlo import (
     DRAWS_PER_SHOT,
     MIN_ATOM_FRACTION,
@@ -253,6 +254,21 @@ class TestSweep:
         with pytest.raises(ValueError):
             run_kappa_sweep(cfg(), [])
 
+    def test_runs_are_sampled_as_iterated(self, monkeypatch):
+        calls = []
+
+        def counting(config, workers=1):
+            calls.append(config.kappa_nominal)
+            return run_sequence(config, workers=workers)
+
+        monkeypatch.setattr(montecarlo, "run_sequence", counting)
+        runs =run_kappa_sweep(cfg(shots=100), [0.1, 0.2, 0.3])
+        assert calls == []
+        assert next(runs).config.kappa_nominal == 0.1
+        assert calls == [0.1]
+        assert [r.config.kappa_nominal for r in runs] == [0.2, 0.3]
+        assert calls == [0.1, 0.2, 0.3]
+
     def test_zero_point_is_shot_noise(self):
         (res,) = run_kappa_sweep(cfg(), [0.0])
         n = len(res)
@@ -261,7 +277,7 @@ class TestSweep:
 
     def test_trend_over_grid(self):
         grid = [0.0, 0.12, 0.25, 0.37, 0.5, 0.62]
-        results = run_kappa_sweep(cfg(shots=5000), grid)
+        results = list(run_kappa_sweep(cfg(shots=5000), grid))
         sig1 = [np.var(r.s1, ddof=1) for r in results]
         plus = [np.var(r.s1 + r.s2, ddof=1) / 2 for r in results]
         minus = [np.var(r.s1 - r.s2, ddof=1) / 2 for r in results]
@@ -274,8 +290,8 @@ class TestSweep:
             assert abs(m - 0.5) <= 3 * se_var(0.5, n)
 
     def test_per_point_seeds_differ_and_reproduce(self):
-        first = run_kappa_sweep(cfg(shots=100), [0.3, 0.3])
-        again = run_kappa_sweep(cfg(shots=100), [0.3, 0.3])
+        first = list(run_kappa_sweep(cfg(shots=100), [0.3, 0.3]))
+        again = list(run_kappa_sweep(cfg(shots=100), [0.3, 0.3]))
         assert not np.array_equal(first[0].s1, first[1].s1)
         assert np.array_equal(first[0].s1, again[0].s1)
         assert first[0].config.seed == sweep_seed(SEED, 0)
