@@ -12,10 +12,14 @@ with its content hash, the resolved spec, and the seed, so a run can be
 reproduced byte for byte.
 
 Every file goes through one write path, in a single pass: a table is
-formatted whole (one ``%`` operation, 9 significant digits), written, and
-hashed from the bytes written; the manifest takes those digests and never
-re-reads a file.  Sweeps summarise each run as it is sampled, so only one
-run's columns are in memory at a time.
+formatted a block of rows at a time (one ``%`` operation per block, 9
+significant digits), and each block is written and hashed before the next is
+formatted; the manifest takes those digests and never re-reads a file.
+``sweep`` and ``conditional`` share one driver, :func:`_sweep`: each figure
+declares its statistics once, as (name, estimate, SE, model target), and the
+driver builds both the table columns and the ``--check`` bands from them.  It
+summarises each run as it is sampled, so only one run's columns are in
+memory at a time.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 statistical check
 failure (with --check).
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -37,7 +42,6 @@ import numpy as np
 from . import stats
 from .montecarlo import (
     SequenceConfig,
-    is_finite_real,
     mean_kappa_sq,
     predict,
     run_kappa_sweep,
@@ -48,6 +52,7 @@ from .physics import (
     SheetError,
     coupling_strength,
     derive_coupling,
+    is_finite_real,
     kappa_from_angle,
     load_sheet,
 )
@@ -86,12 +91,14 @@ class ExperimentSpec:
 
 
 def _grid(raw: dict, key: str) -> tuple[float, ...] | None:
-    """The spec's ``key`` grid as a tuple of finite numbers, or None when absent."""
+    """The spec's ``key`` grid as a non-empty tuple of finite numbers, or None when absent."""
     grid = raw.get(key)
     if grid is None:
         return None
     if not isinstance(grid, (list, tuple)):
         raise ValueError(f"{key} must be a list of finite numbers, got {grid!r}")
+    if not grid:
+        raise ValueError(f"{key} must be non-empty")
     for value in grid:
         if not is_finite_real(value):
             raise ValueError(f"{key} entries must be finite numbers, got {value!r}")
@@ -155,12 +162,8 @@ def load_spec(
 def resolve_kappa_grid(spec: ExperimentSpec) -> list[float]:
     """The sweep abscissa: explicit kappas, or couplings from a photon grid."""
     if spec.kappa_grid is not None:
-        if not spec.kappa_grid:
-            raise SpecError("kappa_grid must be non-empty")
         return list(spec.kappa_grid)
     if spec.photon_grid is not None:
-        if not spec.photon_grid:
-            raise SpecError("photon_grid must be non-empty")
         sheet = load_sheet(spec.physics_sheet)
         return [
             coupling_strength(sheet.atomic, replace(sheet.pulse, photons=p))
@@ -180,6 +183,7 @@ class FigureBundle:
 
 
 _FMT = "%.9g"  # every number the harness writes or prints
+_BLOCK_ROWS = 8192  # table rows formatted per % operation: bounds the text held at once
 
 
 def _fmt(x) -> str:
@@ -190,19 +194,24 @@ def _round9(x: float) -> float:
     return float(_fmt(x))
 
 
-def _write_text(path: Path, text: str) -> str:
-    """Write ``text`` to ``path``; return the sha256 of the bytes written."""
-    data = text.encode()
-    path.write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
+def _write_text(path: Path, parts) -> str:
+    """Write the text ``parts`` to ``path`` in order; return the sha256 of the bytes written."""
+    digest = hashlib.sha256()
+    with path.open("wb") as f:
+        for part in parts:
+            data = part.encode()
+            f.write(data)
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def _write_csv(path: Path, header: str, table) -> str:
-    """Write an (n, k) table under ``header``, formatted by one ``%``; return its sha256."""
+    """Write an (n, k) table under ``header``, one ``%`` per block of rows; return its sha256."""
     table = np.asarray(table, dtype=float)
-    n, k = table.shape
-    row = ",".join([_FMT] * k) + "\n"
-    return _write_text(path, header + "\n" + (row * n) % tuple(table.ravel().tolist()))
+    row = ",".join([_FMT] * table.shape[1]) + "\n"
+    blocks = (table[i : i + _BLOCK_ROWS] for i in range(0, len(table), _BLOCK_ROWS))
+    text = ((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
+    return _write_text(path, itertools.chain([header + "\n"], text))
 
 
 def _json_ready(obj):
@@ -236,7 +245,7 @@ def _emit_manifest(
     }
     _write_text(
         outdir / f"{spec.name}_{figure_id}_manifest.json",
-        json.dumps(manifest, indent=1, sort_keys=True) + "\n",
+        [json.dumps(manifest, indent=1, sort_keys=True), "\n"],
     )
     return FigureBundle(
         figure_id=figure_id,
@@ -319,7 +328,7 @@ def cmd_joint(spec: ExperimentSpec, workers: int = 1) -> FigureBundle:
         }
     summary_path = outdir / f"{spec.name}_joint_summary.json"
     data[summary_path] = _write_text(
-        summary_path, json.dumps(_json_ready(summary), indent=1) + "\n"
+        summary_path, [json.dumps(_json_ready(summary), indent=1), "\n"]
     )
     return _emit_manifest(outdir, spec, "joint_y", data)
 
@@ -338,6 +347,45 @@ def _band_failures(label: str, points) -> list[str]:
     ]
 
 
+def _sweep(spec, stem, modes, point, theory, header, theory_header, check, workers):
+    """Run one sweep figure over the grid, once per mode (None: the spec's own mode).
+
+    ``point(run, model)`` gives a run's statistics, each a (name, estimate,
+    SE, model target) tuple feeding both its table columns and ``--check``,
+    and its unchecked extra columns: a row is kappa, the estimates, the
+    extras, then the SEs.  ``theory(config)`` gives a theory row after kappa.
+    The manifest is written before a :class:`CheckFailure` is raised.
+    """
+    outdir = _outdir(spec)
+    grid = resolve_kappa_grid(spec)
+    data = {}
+    failures = []
+    for mode in modes:
+        tag = [mode] if mode else []
+        base = replace(spec.sequence, mode=mode or spec.sequence.mode)
+        models = [predict(replace(base, kappa_nominal=kappa)) for kappa in grid]
+        # map drops each run once summarised, before the next is sampled (a loop
+        # variable would keep it alive): one run's columns are held at a time
+        points = map(point, run_kappa_sweep(base, grid, workers=workers), models)
+        rows = []
+        for kappa, (statistics, extra) in zip(grid, points):
+            _, values, ses, _ = zip(*statistics)
+            rows.append((kappa, *values, *extra, *ses))
+            if check:
+                failures += _band_failures(" ".join([*tag, f"kappa={kappa:g}"]), statistics)
+        path = outdir / ("_".join([spec.name, stem, *tag]) + ".csv")
+        data[path] = _write_csv(path, header, rows)
+    theory_path = outdir / f"{spec.name}_{stem}_theory.csv"
+    theory_rows = [
+        (k, *theory(replace(spec.sequence, kappa_nominal=float(k)))) for k in _theory_kappas(grid)
+    ]
+    theory_files = {theory_path: _write_csv(theory_path, theory_header, theory_rows)}
+    bundle = _emit_manifest(outdir, spec, f"{stem}_sweep", data, theory_files)
+    if failures:
+        raise CheckFailure("; ".join(failures))
+    return bundle
+
+
 def cmd_variance_sweep(
     spec: ExperimentSpec,
     mode: str | None = None,
@@ -345,123 +393,51 @@ def cmd_variance_sweep(
     workers: int = 1,
 ) -> FigureBundle:
     """Variance-vs-kappa tables for the correlated and re-initialized protocols."""
-    outdir = _outdir(spec)
-    grid = resolve_kappa_grid(spec)
-    modes = [mode] if mode else ["qnd", "reinit"]
-    data = {}
-    failures = []
-    for m in modes:
-        base = replace(spec.sequence, mode=m)
-        # each run is dropped once summarised: one run's columns are held at a time
-        summaries = map(stats.variances, run_kappa_sweep(base, grid, workers=workers))
-        rows = []
-        for kappa, vs in zip(grid, summaries):
-            rows.append(
-                (
-                    kappa,
-                    vs.sigma1,
-                    vs.sigma2,
-                    vs.sigma_plus,
-                    vs.sigma_minus,
-                    vs.se_sigma1,
-                    vs.se_sigma2,
-                    vs.se_plus,
-                    vs.se_minus,
-                )
-            )
-            if check:
-                model = predict(replace(base, kappa_nominal=kappa))
-                failures += _band_failures(
-                    f"{m} kappa={kappa:g}",
-                    (
-                        ("sigma1", vs.sigma1, vs.se_sigma1, model.var1),
-                        ("sigma2", vs.sigma2, vs.se_sigma2, model.var2),
-                        ("sigma_plus", vs.sigma_plus, vs.se_plus, model.sigma_plus),
-                        ("sigma_minus", vs.sigma_minus, vs.se_minus, model.sigma_minus),
-                    ),
-                )
-        path = outdir / f"{spec.name}_variance_{m}.csv"
-        data[path] = _write_csv(
-            path,
-            "kappa,sigma1,sigma2,sigma_plus,sigma_minus,"
-            "se_sigma1,se_sigma2,se_plus,se_minus",
-            rows,
-        )
-    qnd = replace(spec.sequence, mode="qnd")
-    theory = []
-    for k in _theory_kappas(grid):
-        model = predict(replace(qnd, kappa_nominal=float(k)))
-        theory.append((k, model.var1, model.sigma_plus, model.sigma_minus))
-    theory_path = outdir / f"{spec.name}_variance_theory.csv"
-    theory_digest = _write_csv(theory_path, "kappa,individual,plus,minus", theory)
-    bundle = _emit_manifest(outdir, spec, "variance_sweep", data, {theory_path: theory_digest})
-    if failures:
-        raise CheckFailure("; ".join(failures))
-    return bundle
+
+    def point(run, model):
+        vs = stats.variances(run)
+        return (
+            ("sigma1", vs.sigma1, vs.se_sigma1, model.var1),
+            ("sigma2", vs.sigma2, vs.se_sigma2, model.var2),
+            ("sigma_plus", vs.sigma_plus, vs.se_plus, model.sigma_plus),
+            ("sigma_minus", vs.sigma_minus, vs.se_minus, model.sigma_minus),
+        ), ()
+
+    def theory(config):  # the correlated protocol's curves, whichever modes ran
+        model = predict(replace(config, mode="qnd"))
+        return model.var1, model.sigma_plus, model.sigma_minus
+
+    return _sweep(
+        spec, "variance", [mode] if mode else ["qnd", "reinit"], point, theory,
+        "kappa,sigma1,sigma2,sigma_plus,sigma_minus,se_sigma1,se_sigma2,se_plus,se_minus",
+        "kappa,individual,plus,minus", check, workers,
+    )
 
 
 def cmd_conditional_sweep(
     spec: ExperimentSpec, check: bool = False, workers: int = 1
 ) -> FigureBundle:
     """Conditioned-variance (and squeezing) table over the kappa grid."""
-    outdir = _outdir(spec)
-    grid = resolve_kappa_grid(spec)
-    # each run is dropped once summarised: one run's columns are held at a time
-    summaries = map(
-        lambda run: (stats.variances(run), stats.binned_conditional(run)),
-        run_kappa_sweep(spec.sequence, grid, workers=workers),
-    )
-    rows = []
-    failures = []
-    for kappa, (vs, cond) in zip(grid, summaries):
-        rows.append(
-            (
-                kappa,
-                vs.sigma2 - 0.5,
-                cond.sigma_cond - 0.5,
-                cond.squeezing_db,
-                vs.se_sigma2,
-                cond.se_cond,
-            )
-        )
-        if check:
-            model = predict(replace(spec.sequence, kappa_nominal=kappa))
-            failures += _band_failures(
-                f"kappa={kappa:g}",
-                (
-                    ("sigma2 excess", vs.sigma2 - 0.5, vs.se_sigma2, model.var2 - 0.5),
-                    (
-                        "conditional excess",
-                        cond.sigma_cond - 0.5,
-                        cond.se_cond,
-                        model.cond - 0.5,
-                    ),
-                ),
-            )
-    data_path = outdir / f"{spec.name}_conditional.csv"
-    data_digest = _write_csv(
-        data_path,
-        "kappa,sigma2_minus_half,sigma_cond_minus_half,squeezing_db,se_sigma2,se_cond",
-        rows,
-    )
-    theory = []
-    for k in _theory_kappas(grid):
-        config = replace(spec.sequence, kappa_nominal=float(k))
+
+    def point(run, model):
+        vs, cond = stats.variances(run), stats.binned_conditional(run)
+        return (
+            ("sigma2 excess", vs.sigma2 - 0.5, vs.se_sigma2, model.var2 - 0.5),
+            ("conditional excess", cond.sigma_cond - 0.5, cond.se_cond, model.cond - 0.5),
+        ), (cond.squeezing_db,)
+
+    def theory(config):
         model = predict(config)
         # the data column's convention: squeezing at the rms per-shot coupling
         kappa_rms = math.sqrt(mean_kappa_sq(config))
-        ideal = stats.squeezing_db(model.cond, kappa_rms) if k else math.nan
-        theory.append((k, model.var2 - 0.5, model.cond - 0.5, ideal))
-    theory_path = outdir / f"{spec.name}_conditional_theory.csv"
-    theory_digest = _write_csv(
-        theory_path, "kappa,total_excess,conditional_excess,squeezing_db_ideal", theory
+        ideal = stats.squeezing_db(model.cond, kappa_rms) if config.kappa_nominal else math.nan
+        return model.var2 - 0.5, model.cond - 0.5, ideal
+
+    return _sweep(
+        spec, "conditional", [None], point, theory,
+        "kappa,sigma2_minus_half,sigma_cond_minus_half,squeezing_db,se_sigma2,se_cond",
+        "kappa,total_excess,conditional_excess,squeezing_db_ideal", check, workers,
     )
-    bundle = _emit_manifest(
-        outdir, spec, "conditional_sweep", {data_path: data_digest}, {theory_path: theory_digest}
-    )
-    if failures:
-        raise CheckFailure("; ".join(failures))
-    return bundle
 
 
 # ---------------------------------------------------------------------------

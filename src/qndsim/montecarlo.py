@@ -50,6 +50,7 @@ from .gaussian_core import (
     pulse,
     qnd_map,
 )
+from .physics import is_finite_real
 
 DRAWS_PER_SHOT = 8
 _CHUNK_SHOTS = 8192
@@ -62,15 +63,6 @@ BASES = ("y", "z")
 # Atom-number draws are clipped below at this fraction of the mean so the
 # Gaussian tail cannot produce a negative atom number.
 MIN_ATOM_FRACTION = 0.1
-
-
-def is_finite_real(value) -> bool:
-    """True for a finite int or float (bool, str and NaN are not numbers here)."""
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
 
 
 @dataclass(frozen=True)

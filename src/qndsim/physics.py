@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -24,6 +25,20 @@ TWO_PI = 2.0 * math.pi
 
 class SheetError(ValueError):
     """Parameter sheet failed to parse or is missing/mistyping a key."""
+
+
+def is_finite_real(value) -> bool:
+    """True for an int or float with a finite float value.
+
+    bool, str, NaN, the infinities and ints beyond the float range are not
+    numbers here: every number read from a spec or a sheet passes this test.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large to convert to float
+        return False
 
 
 @dataclass(frozen=True)
@@ -77,8 +92,8 @@ class PulseParams:
     absorption_rate: float = 0.0
 
     def __post_init__(self):
-        if self.photons < 0:
-            raise ValueError("photons must be non-negative")
+        if not (is_finite_real(self.photons) and self.photons >= 0):
+            raise ValueError(f"photons must be a finite non-negative number, got {self.photons!r}")
         if self.width <= 0:
             raise ValueError("width must be positive")
         if self.interval < 0:
@@ -207,8 +222,8 @@ def _convert(raw: dict, keymap: dict, source: str) -> dict:
                 continue
             raise SheetError(f"{source}: missing key {key!r}")
         value = raw[key]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SheetError(f"{source}: key {key!r} must be a number, got {value!r}")
+        if not is_finite_real(value):
+            raise SheetError(f"{source}: key {key!r} must be a finite number, got {value!r}")
         fields[field] = conv(value)
     return fields
 

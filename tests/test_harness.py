@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,25 @@ from qndsim.montecarlo import SequenceConfig, run_kappa_sweep, run_sequence, swe
 from qndsim.stats import bootstrap_ci
 
 SEED = 141421356
+BIG = 10**400  # an int beyond the float range
+
+# --check messages of feed_lossy_runs' eta=0.5 runs against the lossless spec at kappa 0.62
+LOSSY_FAILURES = {
+    "variance_sweep": "; ".join(
+        f"{mode} kappa=0.62: {name}={value} vs {target} exceeds 3 SE ({se})"
+        for mode, name, value, target, se in [
+            ("qnd", "sigma1", "0.5413", "0.6922", "0.0150"),
+            ("qnd", "sigma2", "0.5342", "0.6922", "0.0148"),
+            ("qnd", "sigma_plus", "0.5886", "0.8844", "0.0163"),
+            ("reinit", "sigma1", "0.5413", "0.6922", "0.0150"),
+            ("reinit", "sigma2", "0.5374", "0.6922", "0.0149"),
+            ("reinit", "sigma_plus", "0.5469", "0.6922", "0.0152"),
+            ("reinit", "sigma_minus", "0.5318", "0.6922", "0.0148"),
+        ]
+    ),
+    "conditional_sweep": "kappa=0.62: sigma2 excess=0.0342 vs 0.1922 exceeds 3 SE (0.0148); "
+    "kappa=0.62: conditional excess=0.0262 vs 0.1388 exceeds 3 SE (0.0147)",
+}
 
 
 def make_spec(tmp_path, **overrides):
@@ -81,6 +101,22 @@ class TestKappaCommand:
     def test_photon_scaling(self):
         base = cmd_kappa("yb171", photons=1e6)["kappa"]
         assert cmd_kappa("yb171", photons=4e6)["kappa"] == 2 * base
+
+    @pytest.mark.parametrize(
+        "sheet, extra, message",
+        [
+            ({"gamma_2pi_mhz": math.nan}, [], "key 'gamma_2pi_mhz' must be a finite number, got nan"),
+            ({}, ["--photons", "inf"], "photons must be a finite non-negative number, got inf"),
+        ],
+        ids=["nan_sheet_value", "inf_photons_flag"],
+    )
+    def test_non_finite_inputs_exit_2(self, tmp_path, capsys, sheet, extra, message):
+        raw = json.loads(resources.files("qndsim").joinpath("data/yb171.json").read_text())
+        path = tmp_path / "sheet.json"
+        path.write_text(json.dumps({**raw, **sheet}))
+        assert main(["kappa", "--sheet", str(path), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 class TestSpecs:
@@ -204,12 +240,20 @@ class TestVarianceSweep:
             fig_b.data_files[0]
         ).read_bytes()
 
-    def test_lossy_run_fails_lossless_check(self, tmp_path, monkeypatch):
-        # --check compares to the spec's own (lossless) model, not the data's
+    @pytest.mark.parametrize(
+        "command, figure_id",
+        [(cmd_variance_sweep, "variance_sweep"), (cmd_conditional_sweep, "conditional_sweep")],
+        ids=["sweep", "conditional"],
+    )
+    def test_lossy_run_fails_lossless_check(self, tmp_path, monkeypatch, command, figure_id):
+        # --check compares to the spec's own (lossless) model, not the data's;
+        # the files and the manifest are written before the failure is raised
         feed_lossy_runs(monkeypatch)
         spec = make_spec(tmp_path, kappa_grid=[0.62])
-        with pytest.raises(CheckFailure):
-            cmd_variance_sweep(spec, check=True)
+        with pytest.raises(CheckFailure) as failure:
+            command(spec, check=True)
+        assert str(failure.value) == LOSSY_FAILURES[figure_id]
+        assert (Path(spec.outputs) / f"t_{figure_id}_manifest.json").exists()
 
     @pytest.mark.parametrize("photons", [[1.6e6, 3.2e6], [0.0, 1.6e6, 3.2e6]])
     def test_theory_spans_negative_couplings(self, tmp_path, photons):
@@ -377,10 +421,16 @@ class TestCliEntry:
             ({}, {"kappa_grid": 3}, "kappa_grid must be a list of finite numbers, got 3"),
             ({}, {"kappa_grid": None, "physics_sheet": "yb171", "photon_grid": 3.2e6},
              "photon_grid must be a list of finite numbers, got 3200000.0"),
+            ({"kappa_nominal": BIG}, {}, f"kappa_nominal must be a finite number, got {BIG}"),
+            ({}, {"kappa_grid": [0.3, BIG]}, f"kappa_grid entries must be finite numbers, got {BIG}"),
+            ({}, {"kappa_grid": []}, "kappa_grid must be non-empty"),
+            ({}, {"kappa_grid": None, "physics_sheet": "yb171", "photon_grid": []},
+             "photon_grid must be non-empty"),
         ],
         ids=["float_shots", "float_seed", "bool_shots", "int_flag", "str_kappa", "nan_eta",
              "inf_spread", "str_grid", "nan_grid", "bool_photons", "string_grid",
-             "object_grid", "scalar_grid", "scalar_photons"],
+             "object_grid", "scalar_grid", "scalar_photons", "huge_kappa", "huge_grid",
+             "empty_grid", "empty_photons"],
     )
     def test_mistyped_spec_values_exit_2(self, tmp_path, capsys, sequence, grids, message):
         base = {"mode": "qnd", "kappa_nominal": 0.62, "shots": 2600, "seed": SEED}
@@ -474,6 +524,12 @@ class TestCsvWriter:
         # a JSON grid may hold ints; they were formatted as ints before
         rows = [(0, 0.5, 1), (3, 0.25, -2), (1234567891, 7, 10**15)]
         self.assert_same_bytes(tmp_path, rows, header="kappa,x,y")
+
+    def test_tables_longer_than_a_block(self, tmp_path):
+        # two full blocks of rows and a partial one, each its own % operation
+        n = 2 * harness._BLOCK_ROWS + 37
+        rows = np.random.default_rng(5).normal(scale=1e3, size=(n, 3)).tolist()
+        self.assert_same_bytes(tmp_path, rows, header="x,y,z")
 
     @pytest.mark.parametrize("shape", [(1, 5), (7, 1), (1, 1)])
     def test_one_row_or_one_column(self, tmp_path, shape):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -233,5 +234,18 @@ class TestSheets:
             "photons": 1e6,
             "pulse_width_ns": 200.0,
         }
-        with pytest.raises(SheetError, match="must be a number"):
+        with pytest.raises(SheetError, match="must be a finite number"):
             sheet_from_mapping(raw)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("gamma_2pi_mhz", math.nan), ("waist_um", math.inf), ("photons", 10**400)],
+        ids=["nan_linewidth", "inf_waist", "huge_photons"],
+    )
+    def test_non_finite_value_named(self, tmp_path, key, value):
+        # json writes and reads NaN and Infinity; the 401-digit int overflows a float
+        raw = json.loads(resources.files("qndsim").joinpath("data/yb171.json").read_text())
+        path = tmp_path / "sheet.json"
+        path.write_text(json.dumps({**raw, key: value}))
+        with pytest.raises(SheetError, match=f"key '{key}' must be a finite number, got"):
+            load_sheet(path)
