@@ -72,7 +72,10 @@ class GaussianState:
 
     Immutable after construction; every operation below returns a new state.
     Construction validates symmetry of ``cov`` and the per-mode uncertainty
-    bound ``Var(y)*Var(z) - Cov(y,z)^2 >= 1/4`` (within tolerances).
+    bound ``Var(y)*Var(z) - Cov(y,z)^2 >= 1/4`` (within tolerances).  The
+    operations below build their results with :meth:`_derived`, unchecked:
+    a symplectic map, a loss channel and a Schur complement each keep a valid
+    state valid.
     """
 
     modes: tuple[ModeLabel, ...]
@@ -102,11 +105,21 @@ class GaussianState:
                 )
         if dim and np.linalg.eigvalsh(cov).min() < -UNCERTAINTY_TOL:
             raise ValueError("covariance matrix is not positive semidefinite")
+        self._freeze(modes, mean, cov)
+
+    def _freeze(self, modes: tuple[ModeLabel, ...], mean: np.ndarray, cov: np.ndarray):
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+
+    @classmethod
+    def _derived(cls, modes: tuple[ModeLabel, ...], mean: np.ndarray, cov: np.ndarray):
+        """Unchecked state from arrays that an operation on a valid state just computed."""
+        state = object.__new__(cls)
+        state._freeze(modes, mean, cov)
+        return state
 
     @property
     def n_modes(self) -> int:
@@ -191,7 +204,7 @@ def apply_map(state: GaussianState, smap: SymplecticMap) -> GaussianState:
             f"map acts on {smap.n_modes} modes but state has {state.n_modes}"
         )
     cov = F @ state.cov @ F.T
-    return GaussianState(state.modes, F @ state.mean, 0.5 * (cov + cov.T))
+    return GaussianState._derived(state.modes, F @ state.mean, 0.5 * (cov + cov.T))
 
 
 def apply_loss(state: GaussianState, mode: ModeLabel, eta: float) -> GaussianState:
@@ -211,7 +224,7 @@ def apply_loss(state: GaussianState, mode: ModeLabel, eta: float) -> GaussianSta
     refill = (1.0 - eta * eta) * COHERENT_VARIANCE
     cov[2 * pos, 2 * pos] += refill
     cov[2 * pos + 1, 2 * pos + 1] += refill
-    return GaussianState(state.modes, state.mean * scale, cov)
+    return GaussianState._derived(state.modes, state.mean * scale, cov)
 
 
 def condition_on(
@@ -239,7 +252,7 @@ def condition_on(
     mean = state.mean[keep] + cross * ((value - state.mean[b]) / var_b)
     cov = state.cov[np.ix_(keep, keep)] - np.outer(cross, cross) / var_b
     modes = state.modes[:pos] + state.modes[pos + 1 :]
-    return GaussianState(modes, mean, 0.5 * (cov + cov.T))
+    return GaussianState._derived(modes, mean, 0.5 * (cov + cov.T))
 
 
 def marginal(

@@ -126,23 +126,34 @@ def coupling_strength(atomic: AtomicParams, pulse: PulseParams) -> float:
     kappa = Gamma*sigma0*sqrt(S*J)/(3*pi*w0^2) times the two-line dispersive
     factor (delta-delta0)/((delta-delta0)^2+(Gamma/2)^2)
     - delta/(delta^2+(Gamma/2)^2).  The sign follows the detunings; all
-    variance predictions depend on kappa^2 only.
+    variance predictions depend on kappa^2 only.  Raises ValueError when
+    the parameters put kappa outside the finite floats.
     """
     s = pulse.stokes_length
     if s == 0.0:
         return 0.0
-    prefactor = (
-        atomic.gamma
-        * atomic.sigma0
-        * math.sqrt(s * atomic.collective_spin)
-        / (3.0 * math.pi * atomic.waist**2)
-    )
-    half_width_sq = (atomic.gamma / 2.0) ** 2
-    shifted = atomic.delta - atomic.delta0
-    dispersive = shifted / (shifted**2 + half_width_sq) - atomic.delta / (
-        atomic.delta**2 + half_width_sq
-    )
-    return prefactor * dispersive
+    try:
+        prefactor = (
+            atomic.gamma
+            * atomic.sigma0
+            * math.sqrt(s * atomic.collective_spin)
+            / (3.0 * math.pi * atomic.waist**2)
+        )
+        half_width_sq = (atomic.gamma / 2.0) ** 2
+        shifted = atomic.delta - atomic.delta0
+        dispersive = shifted / (shifted**2 + half_width_sq) - atomic.delta / (
+            atomic.delta**2 + half_width_sq
+        )
+        kappa = prefactor * dispersive
+    except (OverflowError, ZeroDivisionError):  # a square overflowed, or underflowed to zero
+        kappa = math.nan
+    return _finite("kappa", kappa)
+
+
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"derived {name} is not finite ({value}): a sheet value is out of range")
+    return value
 
 
 def faraday_angle(kappa: float, stokes_length: float, collective_spin: float) -> float:
@@ -170,7 +181,7 @@ def derive_coupling(atomic: AtomicParams, pulse: PulseParams) -> DerivedCoupling
     """Jointly consistent (kappa, phi, epsilon) for one operating point."""
     kappa = coupling_strength(atomic, pulse)
     phi = (
-        faraday_angle(kappa, pulse.stokes_length, atomic.collective_spin)
+        _finite("phi", faraday_angle(kappa, pulse.stokes_length, atomic.collective_spin))
         if pulse.photons > 0
         else 0.0
     )
@@ -225,6 +236,10 @@ def _convert(raw: dict, keymap: dict, source: str) -> dict:
         if not is_finite_real(value):
             raise SheetError(f"{source}: key {key!r} must be a finite number, got {value!r}")
         fields[field] = conv(value)
+        if not math.isfinite(fields[field]):
+            raise SheetError(
+                f"{source}: key {key!r} is out of range after unit conversion, got {value!r}"
+            )
     return fields
 
 

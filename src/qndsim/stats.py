@@ -5,6 +5,12 @@ factor 1/2, i.e. sigma_plus = Var(s1 + s2)/2 and sigma_minus = Var(s1 - s2)/2,
 so every estimator reads 1/2 at the shot-noise floor.  Standard errors use the
 Gaussian fourth-moment formula Var(sample variance) = 2*sigma^4/(n-1); the
 bootstrap is available as an independent cross-check.
+
+The bootstrap evaluates its resamples in blocks of about 2**14 draws, which
+keeps its arrays in cache and its memory flat; every estimator gives one value
+per row, and the binned conditional variance sorts s1 once per call.  Each
+resample is still drawn by its own ``integers`` call, so neither the draws nor
+the intervals depend on the block size.
 """
 
 from __future__ import annotations
@@ -22,6 +28,9 @@ DEFAULT_BINS = 21
 # two shots cannot carry a Bessel-corrected variance and are dropped.
 HALF_RANGE_SIGMAS = 2.5
 MIN_BIN_COUNT = 2
+# Draws per bootstrap block: rows = max(1, BLOCK_DRAWS // n).
+BLOCK_DRAWS = 2**14
+_ZERO_SPREAD = "s1 has zero spread, cannot bin"
 
 
 class InsufficientDataError(ValueError):
@@ -58,16 +67,18 @@ class ConditionalResult:
     se_cond: float
 
 
-def _var(x: np.ndarray) -> float:
-    return float(np.var(x, ddof=1))
+def _var(x: np.ndarray) -> np.ndarray:
+    """Bessel-corrected variance of a column, or of each row of a block."""
+    return np.var(x, axis=-1, ddof=1)
 
 
-# The four variance estimators, shared by variances() and bootstrap_ci().
+# The four variance estimators, shared by variances() and bootstrap_ci(): each
+# is Var(column) / divisor for a column formed from s1 and s2.
 _VARIANCES = {
-    "sigma1": lambda s1, s2: _var(s1),
-    "sigma2": lambda s1, s2: _var(s2),
-    "sigma_plus": lambda s1, s2: _var(s1 + s2) / 2.0,
-    "sigma_minus": lambda s1, s2: _var(s1 - s2) / 2.0,
+    "sigma1": (lambda s1, s2: s1, 1.0),
+    "sigma2": (lambda s1, s2: s2, 1.0),
+    "sigma_plus": (lambda s1, s2: s1 + s2, 2.0),
+    "sigma_minus": (lambda s1, s2: s1 - s2, 2.0),
 }
 
 
@@ -77,7 +88,10 @@ def variances(data: RunResult) -> VarianceSummary:
     if n < 2:
         raise InsufficientDataError("need at least two shots")
     se_factor = math.sqrt(2.0 / (n - 1))
-    v = {name: fn(data.s1, data.s2) for name, fn in _VARIANCES.items()}
+    v = {
+        name: float(_var(column(data.s1, data.s2)) / divisor)
+        for name, (column, divisor) in _VARIANCES.items()
+    }
     return VarianceSummary(
         **v,
         se_sigma1=v["sigma1"] * se_factor,
@@ -88,6 +102,28 @@ def variances(data: RunResult) -> VarianceSummary:
     )
 
 
+def _pooled(counts, sums, sq):
+    """Count-weighted mean of the per-bin variances of s2, one value per row.
+
+    Each row holds one dataset's per-bin counts, sums and sums of squares of
+    centred s2; a row with fewer than two usable bins raises.  Returns
+    (sigma_cond per row, usable-bin mask, and the usable bins' counts as
+    floats and variances, flat in row order).
+    """
+    usable = counts >= MIN_BIN_COUNT
+    per_row = usable.sum(axis=1)
+    if (per_row < 2).any():
+        raise InsufficientDataError("fewer than two usable bins")
+    c = counts[usable].astype(float)
+    var = (sq[usable] - sums[usable] ** 2 / c) / (c - 1.0)
+    weighted = c * var
+    # one np.sum per row over its own usable bins: a zero-padded sum along
+    # axis 1 would group the terms, and so round, differently
+    ends = np.cumsum(per_row).tolist()
+    sums_per_row = [weighted[end - k : end].sum() for end, k in zip(ends, per_row.tolist())]
+    return np.array(sums_per_row) / (counts * usable).sum(axis=1), usable, c, var
+
+
 def _binned(s1, s2, n_bins):
     """Shared binning kernel; returns (sigma_cond, se, edges, counts, bin_vars)."""
     n = len(s1)
@@ -96,7 +132,7 @@ def _binned(s1, s2, n_bins):
     center = s1.mean()
     spread = s1.std(ddof=1)
     if spread == 0.0:
-        raise InsufficientDataError("s1 has zero spread, cannot bin")
+        raise InsufficientDataError(_ZERO_SPREAD)
     edges = np.linspace(
         center - HALF_RANGE_SIGMAS * spread, center + HALF_RANGE_SIGMAS * spread, n_bins + 1
     )
@@ -108,13 +144,10 @@ def _binned(s1, s2, n_bins):
     counts = np.bincount(which, minlength=n_bins)
     sums = np.bincount(which, weights=centered, minlength=n_bins)
     sq = np.bincount(which, weights=centered * centered, minlength=n_bins)
-    usable = counts >= MIN_BIN_COUNT
-    if usable.sum() < 2:
-        raise InsufficientDataError("fewer than two usable bins")
-    c = counts[usable].astype(float)
+    sigma, usable, c, var = _pooled(counts[None], sums[None], sq[None])
+    sigma_cond = float(sigma[0])
     bin_var = np.full(n_bins, math.nan)
-    bin_var[usable] = (sq[usable] - sums[usable] ** 2 / c) / (c - 1.0)
-    sigma_cond = float(np.sum(c * bin_var[usable]) / c.sum())
+    bin_var[usable[0]] = var
     # per-bin Var(variance) ~ 2*sigma^4/(n_b - 1), pooled sigma^4.
     se = float(sigma_cond * math.sqrt(2.0 * np.sum(c**2 / (c - 1.0))) / c.sum())
     return sigma_cond, se, edges, counts, bin_var
@@ -163,15 +196,82 @@ def squeezing_db(sigma_cond: float, kappa: float) -> float:
     return 10.0 * math.log10((kappa * kappa / 2.0) / (sigma_cond - 0.5))
 
 
-def _est_sigma_cond(s1, s2):
-    value, _, _, _, _ = _binned(s1, s2, DEFAULT_BINS)
-    return value
+def _sigma_cond_rows(s1, s2):
+    """sigma_cond of each row of a block of resample indices, as _binned gives it.
+
+    s1 is sorted once; a row's shots take the bin of their rank, found by
+    locating the row's edges in the sorted s1 with the comparisons of
+    np.digitize (edges[k] <= x < edges[k+1], and x == edges[-1] in the top
+    bin).  Counts, sums and squares accumulate in draw order, as in _binned.
+    """
+    n, n_bins = len(s1), DEFAULT_BINS
+    order = np.argsort(s1, kind="stable")
+    ranked = s1[order]
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    # a row's slots: its bins, then one dummy for the shots below and above the range
+    slots = n_bins + 1
+    segment_slot = np.r_[n_bins, np.arange(n_bins), n_bins]
+
+    def slots_of(idx):
+        """Slot of every draw (row * slots + bin), and the spread of s1 in each row."""
+        m = len(idx)
+        x = s1.take(idx)
+        center, spread = x.mean(axis=1), x.std(axis=1, ddof=1)
+        # zero-spread rows raise in rows(); a stand-in keeps np.linspace on the
+        # path that it takes for a single row with nonzero spread
+        half = HALF_RANGE_SIGMAS * np.where(spread == 0.0, 1.0, spread)
+        edges = np.linspace(center - half, center + half, n_bins + 1, axis=1)
+        bounds = np.empty((m, n_bins + 3), dtype=np.intp)
+        bounds[:, 0], bounds[:, -1] = 0, n
+        bounds[:, 1:-1] = np.searchsorted(ranked, edges, side="left")
+        bounds[:, -2] = np.searchsorted(ranked, edges[:, -1], side="right")
+        # label[r * n + p]: the slot of sorted position p in row r
+        label = np.repeat(segment_slot + slots * np.arange(m)[:, None], np.diff(bounds).ravel())
+        pos = rank.take(idx)
+        pos += n * np.arange(m)[:, None]
+        return label.take(pos).ravel(), spread
+
+    def rows(idx):
+        m = len(idx)
+        which, spread = slots_of(idx)
+        centered = s2.take(idx)
+        centered -= centered.mean(axis=1, keepdims=True)
+        centered = centered.ravel()
+        counts, sums, sq = (
+            np.bincount(which, weights, minlength=m * slots).reshape(m, slots)[:, :n_bins]
+            for weights in (None, centered, centered * centered)
+        )
+        # rows before the first zero-spread one are pooled (and may raise first)
+        zero = spread == 0.0
+        end = int(zero.argmax()) if zero.any() else m
+        values = _pooled(counts[:end], sums[:end], sq[:end])[0]
+        if end < m:
+            raise InsufficientDataError(_ZERO_SPREAD)
+        return values
+
+    return rows
 
 
+def _gain_rows(s1, s2):
+    sigma_cond = _sigma_cond_rows(s1, s2)
+    return lambda idx: _var(s2.take(idx)) - sigma_cond(idx)
+
+
+def _variance_rows(column, divisor):
+    def prepare(s1, s2):
+        x = column(s1, s2)  # formed once per call; the rows gather from it
+        return lambda idx: _var(x.take(idx)) / divisor
+
+    return prepare
+
+
+# The bootstrap estimators.  Each takes the data columns and returns a function
+# of a block of resample index rows that gives one value per row.
 _ESTIMATORS = {
-    **_VARIANCES,
-    "sigma_cond": _est_sigma_cond,
-    "conditioning_gain": lambda s1, s2: _var(s2) - _est_sigma_cond(s1, s2),
+    **{name: _variance_rows(*spec) for name, spec in _VARIANCES.items()},
+    "sigma_cond": _sigma_cond_rows,
+    "conditioning_gain": _gain_rows,
 }
 
 
@@ -186,7 +286,11 @@ def bootstrap_ci(
 
     Estimator names: sigma1, sigma2, sigma_plus, sigma_minus, sigma_cond,
     conditioning_gain.  Deterministic for a given seed (single Philox stream,
-    the same generator family as the sampler).
+    the same generator family as the sampler).  Resamples are drawn one row
+    at a time, ``rng.integers(0, n, size=n)``, and evaluated in blocks of
+    max(1, BLOCK_DRAWS // n) rows; sigma_cond and conditioning_gain sort s1
+    once per call.  Neither the block size nor the sort changes a draw or a
+    value.
     """
     if estimator not in _ESTIMATORS:
         raise ValueError(
@@ -198,11 +302,13 @@ def bootstrap_ci(
     n = len(s1)
     if n < 10:
         raise InsufficientDataError("need at least ten shots to bootstrap")
-    fn = _ESTIMATORS[estimator]
+    estimate = _ESTIMATORS[estimator](s1, s2)
     rng = Generator(Philox(key=seed))
     values = np.empty(resamples)
-    for r in range(resamples):
-        idx = rng.integers(0, n, size=n)
-        values[r] = fn(s1[idx], s2[idx])
+    rows = max(1, BLOCK_DRAWS // n)
+    for start in range(0, resamples, rows):
+        stop = min(start + rows, resamples)
+        idx = np.array([rng.integers(0, n, size=n) for _ in range(start, stop)])
+        values[start:stop] = estimate(idx)
     alpha = (1.0 - level) / 2.0
     return float(np.quantile(values, alpha)), float(np.quantile(values, 1.0 - alpha))

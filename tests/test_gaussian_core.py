@@ -19,6 +19,7 @@ from qndsim.gaussian_core import (
     pulse,
     qnd_map,
 )
+from qndsim.montecarlo import SequenceConfig, predict
 
 kappas = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -255,6 +256,25 @@ class TestStateValidation:
         state = coherent_init(1)
         with pytest.raises(ValueError):
             state.cov[0, 0] = 2.0
+
+    def test_derived_states_are_immutable(self):
+        state = apply_map(coherent_init(1), qnd_map(1, 1, 0.62))
+        lossy = apply_loss(state, pulse(1), 0.9)
+        for derived in (state, lossy, condition_on(state, pulse(1), "y", 0.1)):
+            for array in (derived.mean, derived.cov):
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+
+    def test_only_built_states_are_validated(self, monkeypatch):
+        # apply_map, apply_loss and condition_on keep a valid state valid, so a
+        # model run validates only the coherent state it starts from
+        checked = []
+        validate = GaussianState.__post_init__
+        monkeypatch.setattr(
+            GaussianState, "__post_init__", lambda self: checked.append(validate(self))
+        )
+        predict(SequenceConfig(mode="reinit", kappa_nominal=0.62, shots=10, eta=0.8))
+        assert len(checked) == 1
 
     def test_non_symplectic_matrix_rejected(self):
         with pytest.raises(ValueError, match="symplectic"):

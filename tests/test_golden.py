@@ -7,9 +7,13 @@ release: a mismatch means the bits of a run changed there, which breaks the
 digests pin the raw float64 output of the sampler (Philox words, AS241 and
 the column algebra); the figure digests pin the CLI's data files for the
 README's fig3 spec, and were recorded before the sampler moved from
-``scipy.special.ndtri`` to the in-package AS241.
+``scipy.special.ndtri`` to the in-package AS241.  The bootstrap intervals are
+``float.hex`` of ``bootstrap_ci`` for every estimator, recorded with the
+resample-at-a-time loop before the blocked evaluation replaced it; 37
+resamples leave a partial last block at both shot counts.
 """
 
+import functools
 import hashlib
 import itertools
 from pathlib import Path
@@ -24,6 +28,7 @@ from qndsim.harness import (
     spec_from_mapping,
 )
 from qndsim.montecarlo import SequenceConfig, run_sequence
+from qndsim.stats import bootstrap_ci
 
 SEED = 1234567
 VARIANTS = {
@@ -89,3 +94,75 @@ def test_fig3_data_files(tmp_path):
     assert written == sorted(FIG3_DIGESTS)
     for name, digest in FIG3_DIGESTS.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+BOOTSTRAP_VARIANTS = {
+    "lossless": {},
+    "lossy": {"eta": 0.8, "atom_fluctuation": True, "spin_rel_std": 0.05},
+}
+BOOTSTRAP_SEED = 11
+
+# (variant, shots, resamples, estimator) -> float.hex of (lo, hi), qnd mode, kappa 0.62
+BOOTSTRAP_INTERVALS = {
+    ("lossless", 2600, 1000, "conditioning_gain"): ("0x1.cd3b65c112331p-5", "0x1.26e002d3122b4p-4"),
+    ("lossless", 2600, 1000, "sigma1"): ("0x1.64847e21b00bbp-1", "0x1.793b58cb0dc54p-1"),
+    ("lossless", 2600, 1000, "sigma2"): ("0x1.4eebdc4fd300fp-1", "0x1.6121e4855d42dp-1"),
+    ("lossless", 2600, 1000, "sigma_cond"): ("0x1.2eb031d41b0b8p-1", "0x1.3f947469cba53p-1"),
+    ("lossless", 2600, 1000, "sigma_minus"): ("0x1.e9323a2164f5dp-2", "0x1.021ec70419293p-1"),
+    ("lossless", 2600, 1000, "sigma_plus"): ("0x1.bed87ecc38718p-1", "0x1.d782c552e4793p-1"),
+    ("lossless", 2600, 37, "conditioning_gain"): ("0x1.c2306abc1e8f0p-5", "0x1.2ce4a9842d941p-4"),
+    ("lossless", 2600, 37, "sigma1"): ("0x1.6814a71df7891p-1", "0x1.79385fda9bbccp-1"),
+    ("lossless", 2600, 37, "sigma2"): ("0x1.509f3a5bad6f1p-1", "0x1.6203b677f5ab1p-1"),
+    ("lossless", 2600, 37, "sigma_cond"): ("0x1.30f9ea2454c82p-1", "0x1.4039a2e96b6a0p-1"),
+    ("lossless", 2600, 37, "sigma_minus"): ("0x1.eba9d244b37f7p-2", "0x1.0186e5c4fe017p-1"),
+    ("lossless", 2600, 37, "sigma_plus"): ("0x1.bf834e9866487p-1", "0x1.d97498144e9d0p-1"),
+    ("lossless", 777, 1000, "conditioning_gain"): ("0x1.cee8ac73a85e5p-5", "0x1.6e418e8874ac7p-4"),
+    ("lossless", 777, 1000, "sigma1"): ("0x1.48f3ca8181f7cp-1", "0x1.6a83c3d2e7896p-1"),
+    ("lossless", 777, 1000, "sigma2"): ("0x1.4e1cfdde69c81p-1", "0x1.6f4d8466cb62bp-1"),
+    ("lossless", 777, 1000, "sigma_cond"): ("0x1.2a97c79de54aep-1", "0x1.494ca94d12f95p-1"),
+    ("lossless", 777, 1000, "sigma_minus"): ("0x1.cddd348b4ce41p-2", "0x1.fed89803db568p-2"),
+    ("lossless", 777, 1000, "sigma_plus"): ("0x1.adeeebe70c731p-1", "0x1.dd65e6ff0270cp-1"),
+    ("lossless", 777, 37, "conditioning_gain"): ("0x1.fba779188ef9bp-5", "0x1.62da8734e55acp-4"),
+    ("lossless", 777, 37, "sigma1"): ("0x1.4b645f9d7268cp-1", "0x1.6b3de517ade7cp-1"),
+    ("lossless", 777, 37, "sigma2"): ("0x1.4a63a3aa7943dp-1", "0x1.7458c706b9e37p-1"),
+    ("lossless", 777, 37, "sigma_cond"): ("0x1.2890164d58f81p-1", "0x1.4c7c346a27869p-1"),
+    ("lossless", 777, 37, "sigma_minus"): ("0x1.d7e5c8e4356f0p-2", "0x1.fc5f19f817e81p-2"),
+    ("lossless", 777, 37, "sigma_plus"): ("0x1.ad72b07a127b5p-1", "0x1.dc10da5f54df6p-1"),
+    ("lossy", 2600, 1000, "conditioning_gain"): ("0x1.b7ef0dc19c0f6p-6", "0x1.39db404ec343ep-5"),
+    ("lossy", 2600, 1000, "sigma1"): ("0x1.4334dfe7d74b7p-1", "0x1.56a4a3c83cc27p-1"),
+    ("lossy", 2600, 1000, "sigma2"): ("0x1.3a37cababa2f9p-1", "0x1.4c601e3768d6cp-1"),
+    ("lossy", 2600, 1000, "sigma_cond"): ("0x1.29b537aee79cfp-1", "0x1.3b0d5a74a6d92p-1"),
+    ("lossy", 2600, 1000, "sigma_minus"): ("0x1.fbd13c8c7cecbp-2", "0x1.0d516d563bdaep-1"),
+    ("lossy", 2600, 1000, "sigma_plus"): ("0x1.7fa341c49570ap-1", "0x1.95920f816ef63p-1"),
+    ("lossy", 2600, 37, "conditioning_gain"): ("0x1.ae09832c959cdp-6", "0x1.3b8a406b7f25dp-5"),
+    ("lossy", 2600, 37, "sigma1"): ("0x1.4509da5abad9dp-1", "0x1.5775e13a4409dp-1"),
+    ("lossy", 2600, 37, "sigma2"): ("0x1.3b4fd39ef0e45p-1", "0x1.4c84b08cefe55p-1"),
+    ("lossy", 2600, 37, "sigma_cond"): ("0x1.2a9ab04b050d8p-1", "0x1.3d4486082fd33p-1"),
+    ("lossy", 2600, 37, "sigma_minus"): ("0x1.003572a4df7c3p-1", "0x1.0ceaf105a2e31p-1"),
+    ("lossy", 2600, 37, "sigma_plus"): ("0x1.8219d3d6f32b2p-1", "0x1.97ca9af8079f9p-1"),
+    ("lossy", 777, 1000, "conditioning_gain"): ("0x1.fff89f4db791fp-6", "0x1.ca2561ccca058p-5"),
+    ("lossy", 777, 1000, "sigma1"): ("0x1.405da47b5536ap-1", "0x1.6058ac601b6a7p-1"),
+    ("lossy", 777, 1000, "sigma2"): ("0x1.2f50b150b4fdap-1", "0x1.4f65cec923324p-1"),
+    ("lossy", 777, 1000, "sigma_cond"): ("0x1.17d59bc54d0dep-1", "0x1.383246f99d38ep-1"),
+    ("lossy", 777, 1000, "sigma_minus"): ("0x1.edc270a23e8c6p-2", "0x1.10e96ef2040b5p-1"),
+    ("lossy", 777, 1000, "sigma_plus"): ("0x1.755581440b8dcp-1", "0x1.a03289920d50bp-1"),
+    ("lossy", 777, 37, "conditioning_gain"): ("0x1.8c7ea334abaddp-6", "0x1.baae23ccdeb1ap-5"),
+    ("lossy", 777, 37, "sigma1"): ("0x1.3d515a75fc7d3p-1", "0x1.5d35f49923568p-1"),
+    ("lossy", 777, 37, "sigma2"): ("0x1.31d0b6e04b430p-1", "0x1.5054a5b281da1p-1"),
+    ("lossy", 777, 37, "sigma_cond"): ("0x1.1b7e195420a3ap-1", "0x1.3e23d960a6a97p-1"),
+    ("lossy", 777, 37, "sigma_minus"): ("0x1.fa09cfc564d2cp-2", "0x1.14551d42b2f06p-1"),
+    ("lossy", 777, 37, "sigma_plus"): ("0x1.70aa61e9fcf29p-1", "0x1.9c84dd7027727p-1"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def bootstrap_run(variant, shots):
+    return run_sequence(SequenceConfig(mode="qnd", kappa_nominal=0.62, shots=shots, seed=SEED,
+                                       **BOOTSTRAP_VARIANTS[variant]))
+
+
+@pytest.mark.parametrize("variant, shots, resamples, estimator", list(BOOTSTRAP_INTERVALS))
+def test_bootstrap_interval(variant, shots, resamples, estimator):
+    lo, hi = bootstrap_ci(bootstrap_run(variant, shots), estimator, resamples=resamples,
+                          seed=BOOTSTRAP_SEED)
+    assert (lo.hex(), hi.hex()) == BOOTSTRAP_INTERVALS[variant, shots, resamples, estimator]

@@ -107,8 +107,14 @@ class TestKappaCommand:
         [
             ({"gamma_2pi_mhz": math.nan}, [], "key 'gamma_2pi_mhz' must be a finite number, got nan"),
             ({}, ["--photons", "inf"], "photons must be a finite non-negative number, got inf"),
+            # finite sheet values whose converted or derived values are not
+            ({"gamma_2pi_mhz": 1e305}, [],
+             "key 'gamma_2pi_mhz' is out of range after unit conversion, got 1e+305"),
+            ({"waist_um": 1e300}, [], "derived kappa is not finite"),
+            ({"collective_spin": 1e300, "photons": 1e-300}, [], "derived phi is not finite"),
         ],
-        ids=["nan_sheet_value", "inf_photons_flag"],
+        ids=["nan_sheet_value", "inf_photons_flag", "huge_linewidth", "overflowing_waist",
+             "overflowing_phi"],
     )
     def test_non_finite_inputs_exit_2(self, tmp_path, capsys, sheet, extra, message):
         raw = json.loads(resources.files("qndsim").joinpath("data/yb171.json").read_text())

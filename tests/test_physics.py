@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -155,6 +156,12 @@ class TestDerivedCoupling:
         d = derive_coupling(YB, PulseParams(photons=0.0, width=1e-7))
         assert d.kappa == 0.0 and d.phi == 0.0
 
+    @pytest.mark.parametrize("waist", [1e294, 1e-170], ids=["overflows", "underflows"])
+    def test_out_of_range_coupling_is_a_value_error(self, waist):
+        # was an OverflowError or a ZeroDivisionError from waist**2
+        with pytest.raises(ValueError, match="derived kappa is not finite"):
+            derive_coupling(replace(YB, waist=waist), PULSE)
+
     def test_epsilon_range_enforced(self):
         with pytest.raises(ValueError):
             DerivedCoupling(kappa=0.5, phi=0.1, epsilon=1.0)
@@ -248,4 +255,13 @@ class TestSheets:
         path = tmp_path / "sheet.json"
         path.write_text(json.dumps({**raw, key: value}))
         with pytest.raises(SheetError, match=f"key '{key}' must be a finite number, got"):
+            load_sheet(path)
+
+    @pytest.mark.parametrize("key", ["gamma_2pi_mhz", "delta_2pi_mhz", "delta0_2pi_mhz"])
+    def test_value_out_of_range_after_conversion(self, tmp_path, key):
+        # 1e305 MHz is finite, 2*pi*1e305*1e6 rad/s is not
+        raw = json.loads(resources.files("qndsim").joinpath("data/yb171.json").read_text())
+        path = tmp_path / "sheet.json"
+        path.write_text(json.dumps({**raw, key: 1e305}))
+        with pytest.raises(SheetError, match=f"key '{key}' is out of range after unit conversion"):
             load_sheet(path)

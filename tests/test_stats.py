@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
+from qndsim import stats
 from qndsim.montecarlo import RunResult, SequenceConfig, predict, run_sequence
 from qndsim.stats import (
     InsufficientDataError,
@@ -227,8 +228,49 @@ class TestBootstrap:
             bootstrap_ci(noise_run(50), "median")
 
     def test_small_samples_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            bootstrap_ci(noise_run(9), "sigma1")
+        for estimator in ("sigma1", "sigma_cond", "conditioning_gain"):
+            with pytest.raises(InsufficientDataError, match="at least ten shots"):
+                bootstrap_ci(noise_run(9), estimator)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5])
+    def test_level_outside_unit_interval(self, level):
+        with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
+            bootstrap_ci(noise_run(50), "sigma_cond", level=level)
+
+    @pytest.mark.parametrize("estimator", ["sigma_cond", "conditioning_gain"])
+    def test_degenerate_resample_raises_its_own_error(self, estimator):
+        # 9 of 10 shots tie: a resample of only the tied shots has zero spread,
+        # one with a single odd shot has fewer than two usable bins.  The
+        # first such resample decides the message; these were recorded with
+        # the resample-at-a-time loop, and all 37 rows share one block.
+        data = columns(np.array([0.0] * 9 + [1.0]), np.linspace(-1.0, 1.0, 10))
+        zero_spread_first = {0, 6, 9, 11}
+        for seed in range(12):
+            message = "zero spread" if seed in zero_spread_first else "fewer than two usable bins"
+            with pytest.raises(InsufficientDataError, match=message):
+                bootstrap_ci(data, estimator, resamples=37, seed=seed)
+
+    @pytest.mark.parametrize("estimator", sorted(stats._ESTIMATORS))
+    def test_block_size_changes_nothing(self, monkeypatch, estimator):
+        data = run(shots=300)
+        default = bootstrap_ci(data, estimator, resamples=50, seed=2)
+        for draws in (1, 7 * 300 + 1, 10**6):  # one row, 7 rows, every row per block
+            monkeypatch.setattr(stats, "BLOCK_DRAWS", draws)
+            assert bootstrap_ci(data, estimator, resamples=50, seed=2) == default
+
+    def test_rows_bin_like_digitize_on_the_edges(self):
+        # mean 0 and std 1 exactly, in any order: the outer edges are -2.5 and
+        # 2.5, and two shots sit on each, in the first and the inclusive top bin
+        s1 = np.array([2.5, 2.5, -2.5, -2.5] + [0.5] * 14 + [-0.5] * 14 + [0.0])
+        s2 = Generator(Philox(key=3)).normal(size=len(s1))
+        perm = Generator(Philox(key=4))
+        idx = np.array([np.arange(len(s1))] + [perm.permutation(len(s1)) for _ in range(4)])
+        rows = stats._ESTIMATORS["sigma_cond"](s1, s2)(idx)
+        for row, value in zip(idx, rows):
+            sigma_cond, _, edges, counts, _ = stats._binned(s1[row], s2[row], stats.DEFAULT_BINS)
+            assert (edges[0], edges[-1]) == (-2.5, 2.5)
+            assert counts[0] == counts[-1] == 2
+            assert value == sigma_cond
 
 
 class TestFigureThreeCProperty:
