@@ -17,9 +17,9 @@ significant digits), and each block is written and hashed before the next is
 formatted; the manifest takes those digests and never re-reads a file.
 ``sweep`` and ``conditional`` share one driver, :func:`_sweep`: each figure
 declares its statistics once, as (name, estimate, SE, model target), and the
-driver builds both the table columns and the ``--check`` bands from them.  It
-summarises each run as it is sampled, so only one run's columns are in
-memory at a time.
+driver builds both the table columns and the ``--check`` bands from them.
+Every command, ``joint`` included, summarises each run as it is sampled and
+drops it before sampling the next, so it holds one run's columns at a time.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 statistical check
 failure (with --check).
@@ -266,10 +266,8 @@ def _outdir(spec: ExperimentSpec) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def cmd_kappa(sheet_path: str, photons: float | None = None, as_json: bool = False,
-              stream=None) -> dict:
+def cmd_kappa(sheet_path: str, photons: float | None = None, as_json: bool = False) -> dict:
     """Report kappa, phi, epsilon for a sheet, with the phi cross-check."""
-    stream = stream if stream is not None else sys.stdout
     sheet = load_sheet(sheet_path)
     pulse = sheet.pulse if photons is None else replace(sheet.pulse, photons=photons)
     coupling = derive_coupling(sheet.atomic, pulse)
@@ -289,16 +287,15 @@ def cmd_kappa(sheet_path: str, photons: float | None = None, as_json: bool = Fal
         "phi_consistency_abs": abs(coupling.kappa - recovered),
     }
     if as_json:
-        print(json.dumps(_json_ready(report), indent=1), file=stream)
+        print(json.dumps(_json_ready(report), indent=1))
     else:
-        print(f"sheet    {report['sheet']}  (photons = {_fmt(report['photons'])})", file=stream)
-        print(f"kappa    {_fmt(report['kappa'])}", file=stream)
-        print(f"phi      {_fmt(report['phi_rad'])} rad", file=stream)
-        print(f"epsilon  {_fmt(report['epsilon'])}", file=stream)
+        print(f"sheet    {report['sheet']}  (photons = {_fmt(report['photons'])})")
+        print(f"kappa    {_fmt(report['kappa'])}")
+        print(f"phi      {_fmt(report['phi_rad'])} rad")
+        print(f"epsilon  {_fmt(report['epsilon'])}")
         print(
             f"check    kappa from phi = {_fmt(report['kappa_from_phi'])} "
-            f"(|diff| = {_fmt(report['phi_consistency_abs'])})",
-            file=stream,
+            f"(|diff| = {_fmt(report['phi_consistency_abs'])})"
         )
     return report
 
@@ -326,6 +323,7 @@ def cmd_joint(spec: ExperimentSpec, workers: int = 1) -> FigureBundle:
             "pearson_r": float(np.corrcoef(result.s1, result.s2)[0, 1]),
             **vs.to_dict(),
         }
+        del result  # drop this panel's run before the next one is sampled
     summary_path = outdir / f"{spec.name}_joint_summary.json"
     data[summary_path] = _write_text(
         summary_path, [json.dumps(_json_ready(summary), indent=1), "\n"]

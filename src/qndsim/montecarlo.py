@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -296,11 +297,10 @@ def _columns_from_uniforms(config: SequenceConfig, u: np.ndarray):
     z = dict(zip(slots, ppnd16(np.maximum(u.T[slots], np.finfo(float).tiny))))
     root_half = math.sqrt(0.5)
 
+    kappa_shot = config.kappa_nominal  # a constant column without atom-number spread
     if 0 in z:
         atom_scale = np.maximum(1.0 + config.spin_rel_std * z[0], MIN_ATOM_FRACTION)
         kappa_shot = config.kappa_nominal * np.sqrt(atom_scale)
-    else:
-        kappa_shot = np.full(len(u), config.kappa_nominal)
 
     jz1 = root_half * z[1]
     jz2 = jz1 if config.mode == "qnd" else root_half * z[2]
@@ -317,25 +317,29 @@ def _columns_from_uniforms(config: SequenceConfig, u: np.ndarray):
     return s1, s2, jz1, jz2, kappa_shot
 
 
-def _chunk_columns(config: SequenceConfig, start: int, n: int):
-    return _columns_from_uniforms(config, window_uniforms(config.seed, start, n))
-
-
 def run_sequence(config: SequenceConfig, workers: int = 1) -> RunResult:
-    """Run all shots of ``config``.
+    """Run all shots of ``config``, each chunk sampled straight into its slice of the columns.
 
-    Chunks of shots are independent through their substreams, so they may be
-    evaluated concurrently (``workers > 1``); results are assembled in shot
-    order and are bitwise identical at every worker count.
+    With ``workers`` and the chunk count both above one, a thread pool fills the
+    chunks, else they are filled in turn; the columns are the same either way.
     """
-    starts = list(range(0, config.shots, _CHUNK_SHOTS))
-    sizes = [min(_CHUNK_SHOTS, config.shots - s) for s in starts]
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    cols = [np.empty(config.shots) for _ in range(5)]
+
+    def fill(start: int) -> None:
+        stop = min(start + _CHUNK_SHOTS, config.shots)
+        u = window_uniforms(config.seed, start, stop - start)
+        for col, values in zip(cols, _columns_from_uniforms(config, u)):
+            col[start:stop] = values
+
+    starts = range(0, config.shots, _CHUNK_SHOTS)
+    # consuming either map fills every chunk and re-raises a chunk's error
     if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda sn: _chunk_columns(config, *sn), zip(starts, sizes)))
+            deque(pool.map(fill, starts), maxlen=0)
     else:
-        chunks = [_chunk_columns(config, s, n) for s, n in zip(starts, sizes)]
-    cols = [np.concatenate([c[k] for c in chunks]) for k in range(5)]
+        deque(map(fill, starts), maxlen=0)
     return RunResult(config, *cols)
 
 

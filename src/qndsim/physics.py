@@ -81,14 +81,12 @@ class PulseParams:
 
     photons: mean photon number per pulse (S = photons/2 is derived).
     width: pulse duration (s).
-    interval: separation between the two pulses (s).
     absorption_rate: photon absorption rate r (1/s) entering the loss
         parameter epsilon = r*width/2.
     """
 
     photons: float
     width: float
-    interval: float = 0.0
     absorption_rate: float = 0.0
 
     def __post_init__(self):
@@ -96,8 +94,6 @@ class PulseParams:
             raise ValueError(f"photons must be a finite non-negative number, got {self.photons!r}")
         if self.width <= 0:
             raise ValueError("width must be positive")
-        if self.interval < 0:
-            raise ValueError("interval must be non-negative")
         if self.absorption_rate < 0:
             raise ValueError("absorption_rate must be non-negative")
 
@@ -209,11 +205,10 @@ _ATOMIC_KEYS = {
 _PULSE_KEYS = {
     "photons": ("photons", float),
     "pulse_width_ns": ("width", lambda v: v / 1e9),
-    "pulse_interval_us": ("interval", lambda v: v / 1e6),
     "absorption_rate_per_s": ("absorption_rate", float),
 }
 
-_OPTIONAL_KEYS = {"collective_spin_std", "pulse_interval_us", "absorption_rate_per_s"}
+_OPTIONAL_KEYS = {"collective_spin_std", "absorption_rate_per_s"}
 
 
 @dataclass(frozen=True)

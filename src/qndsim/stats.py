@@ -16,6 +16,7 @@ the intervals depend on the block size.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -296,6 +297,8 @@ def bootstrap_ci(
         raise ValueError(
             f"unknown estimator {estimator!r}; choose from {sorted(_ESTIMATORS)}"
         )
+    if isinstance(resamples, bool) or not isinstance(resamples, numbers.Integral) or resamples < 1:
+        raise ValueError(f"resamples must be a positive integer, got {resamples!r}")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     s1, s2 = data.s1, data.s2

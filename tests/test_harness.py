@@ -1,8 +1,10 @@
 """Tests for the CLI harness: specs, figure bundles, manifests, exit codes."""
 
+import gc
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -212,6 +214,22 @@ class TestJoint:
         lines = Path(fig.data_files[0]).read_text().splitlines()
         assert lines[0] == "s1,s2"
         assert len(lines) == spec.sequence.shots + 1
+
+    def test_holds_one_run_at_a_time(self, tmp_path):
+        # each panel's run is dropped before the next panel is sampled; the
+        # peak is one run, its two-column scatter table and one CSV block
+        # (100k shots: several chunks, and the traced CSV formatting stays short)
+        spec = make_spec(tmp_path)
+        spec = replace(spec, sequence=replace(spec.sequence, shots=100_000))
+        column_bytes = 5 * 8 * spec.sequence.shots
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cmd_joint(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * column_bytes
 
 
 class TestVarianceSweep:
@@ -444,6 +462,15 @@ class TestCliEntry:
         assert main(["sweep", "--spec", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("command", ["joint", "sweep", "conditional"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_non_positive_workers_exit_2(self, tmp_path, capsys, command, workers):
+        path = write_spec(tmp_path)
+        assert main([command, "--spec", str(path), "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: workers must be a positive integer, got {workers}\n"
+        assert list((tmp_path / "out").glob("*")) == []
 
     def test_io_error_exit_code(self, tmp_path):
         blocker = tmp_path / "file"

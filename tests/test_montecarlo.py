@@ -1,11 +1,13 @@
 """Tests for the shot sampler and its model: statistics, determinism, predict."""
 
+import gc
 import itertools
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from statistics import NormalDist
@@ -159,6 +161,26 @@ class TestDeterminism:
         other = run_sequence(cfg(shots=20000), workers=workers)
         for name in ("s1", "s2", "jz1", "jz2", "kappa_shot"):
             assert np.array_equal(getattr(base, name), getattr(other, name))
+
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, True, "2"])
+    def test_workers_must_be_a_positive_integer(self, workers):
+        with pytest.raises(ValueError, match="workers must be a positive integer"):
+            run_sequence(cfg(shots=20000), workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_is_one_copy_of_the_columns(self, workers):
+        # chunks fill the run's columns in place: no per-chunk list and no
+        # concatenated second copy (400k shots keeps chunk temporaries small)
+        config = cfg(shots=400_000)
+        column_bytes = 5 * 8 * config.shots
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_sequence(config, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * column_bytes
 
     @pytest.mark.parametrize("k", [2, 8191, 8193, 16385])
     def test_prefix_matches_shorter_run(self, k):

@@ -34,7 +34,7 @@ YB = AtomicParams(
     collective_spin=3.4e5,
     collective_spin_std=2.4e4,
 )
-PULSE = PulseParams(photons=3.2e6, width=1e-7, interval=15e-6, absorption_rate=1.86e6)
+PULSE = PulseParams(photons=3.2e6, width=1e-7, absorption_rate=1.86e6)
 
 
 def one_line_kappa(gamma, sigma0, delta, delta0, waist, j, s):
@@ -209,7 +209,7 @@ class TestSheets:
             "pulse_width_ns": 200.0,
         }))
         sheet = load_sheet(path)
-        assert sheet.pulse.interval == 0.0  # optional keys default
+        assert sheet.pulse.absorption_rate == 0.0  # optional keys default
         assert sheet.atomic.delta == pytest.approx(TWO_PI * 50e6)
 
     def test_missing_sheet(self):

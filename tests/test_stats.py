@@ -237,6 +237,11 @@ class TestBootstrap:
         with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
             bootstrap_ci(noise_run(50), "sigma_cond", level=level)
 
+    @pytest.mark.parametrize("resamples", [0, -1, 2.5, True, "10"])
+    def test_resamples_must_be_a_positive_integer(self, resamples):
+        with pytest.raises(ValueError, match="resamples must be a positive integer"):
+            bootstrap_ci(noise_run(50), "sigma1", resamples=resamples)
+
     @pytest.mark.parametrize("estimator", ["sigma_cond", "conditioning_gain"])
     def test_degenerate_resample_raises_its_own_error(self, estimator):
         # 9 of 10 shots tie: a resample of only the tied shots has zero spread,
