@@ -51,7 +51,7 @@ from .gaussian_core import (
     pulse,
     qnd_map,
 )
-from .physics import is_finite_real
+from .physics import is_finite_real, is_positive_int
 
 DRAWS_PER_SHOT = 8
 _CHUNK_SHOTS = 8192
@@ -317,14 +317,18 @@ def _columns_from_uniforms(config: SequenceConfig, u: np.ndarray):
     return s1, s2, jz1, jz2, kappa_shot
 
 
+def _check_workers(workers) -> None:
+    if not is_positive_int(workers):
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+
+
 def run_sequence(config: SequenceConfig, workers: int = 1) -> RunResult:
     """Run all shots of ``config``, each chunk sampled straight into its slice of the columns.
 
     With ``workers`` and the chunk count both above one, a thread pool fills the
     chunks, else they are filled in turn; the columns are the same either way.
     """
-    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    _check_workers(workers)
     cols = [np.empty(config.shots) for _ in range(5)]
 
     def fill(start: int) -> None:
@@ -361,10 +365,10 @@ def run_kappa_sweep(
 ) -> Iterator[RunResult]:
     """One run per coupling value, each on its own derived seed.
 
-    The grid is checked now, every point's configuration included; the runs
-    are sampled one at a time as the returned iterator is consumed, so a
-    caller that summarises each run before taking the next holds a single
-    run's columns.
+    The grid, every point's configuration and ``workers`` are checked now;
+    the runs are sampled one at a time as the returned iterator is consumed,
+    so a caller that summarises each run before taking the next holds a
+    single run's columns.
     """
     configs = [
         replace(base_config, kappa_nominal=kappa, seed=sweep_seed(base_config.seed, i))
@@ -372,4 +376,5 @@ def run_kappa_sweep(
     ]
     if not configs:
         raise ValueError("kappa_values must be non-empty")
+    _check_workers(workers)
     return (run_sequence(config, workers=workers) for config in configs)

@@ -41,6 +41,11 @@ def is_finite_real(value) -> bool:
         return False
 
 
+def is_positive_int(value) -> bool:
+    """True for an integer of at least 1; bool is not an integer here."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
+
+
 @dataclass(frozen=True)
 class AtomicParams:
     """Atomic-side constants of the probe transition and the prepared ensemble.

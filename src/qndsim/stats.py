@@ -6,23 +6,26 @@ so every estimator reads 1/2 at the shot-noise floor.  Standard errors use the
 Gaussian fourth-moment formula Var(sample variance) = 2*sigma^4/(n-1); the
 bootstrap is available as an independent cross-check.
 
-The bootstrap evaluates its resamples in blocks of about 2**14 draws, which
-keeps its arrays in cache and its memory flat; every estimator gives one value
-per row, and the binned conditional variance sorts s1 once per call.  Each
-resample is still drawn by its own ``integers`` call, so neither the draws nor
-the intervals depend on the block size.
+The binned conditional variance is one pipeline with two bin lookups: _edges
+gives each row's edges and _pool pools the per-bin variances of centred s2,
+while binned_conditional finds the bins with np.digitize and the bootstrap
+with one sort of s1 per call.  The bootstrap evaluates its resamples in
+blocks of about 2**14 draws, which keeps its arrays in cache and its memory
+flat; every estimator gives one value per row.  Each resample is still drawn
+by its own ``integers`` call, so neither the draws nor the intervals depend
+on the block size.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .montecarlo import RunResult
+from .physics import is_positive_int
 
 DEFAULT_BINS = 21
 # Bin range +/-2.5 sigma keeps >= 98% of Gaussian data; bins with fewer than
@@ -103,55 +106,47 @@ def variances(data: RunResult) -> VarianceSummary:
     )
 
 
-def _pooled(counts, sums, sq):
-    """Count-weighted mean of the per-bin variances of s2, one value per row.
+def _edges(x, n_bins):
+    """Edges mean +/- HALF_RANGE_SIGMAS sd of each row of an (m, n) block, and each row's sd."""
+    center, spread = x.mean(axis=1), x.std(axis=1, ddof=1)
+    # zero-spread rows raise in _pool; a stand-in keeps np.linspace on the
+    # path that it takes for rows with nonzero spread
+    half = HALF_RANGE_SIGMAS * np.where(spread == 0.0, 1.0, spread)
+    return np.linspace(center - half, center + half, n_bins + 1, axis=1), spread
 
-    Each row holds one dataset's per-bin counts, sums and sums of squares of
-    centred s2; a row with fewer than two usable bins raises.  Returns
-    (sigma_cond per row, usable-bin mask, and the usable bins' counts as
-    floats and variances, flat in row order).
+
+def _pool(slot, centered, spread, n_bins):
+    """Count-weighted mean of the per-bin variances of centred s2, one value per row.
+
+    ``slot`` holds row * (n_bins + 1) + bin for every shot of every row, with
+    bin = n_bins for the shots outside the range; ``centered`` holds the
+    shots' centred s2 in the same order.  Rows before the first zero-spread
+    row are pooled first, so a row with fewer than two usable bins raises
+    ahead of a later zero-spread row.  Returns sigma_cond per row, and the
+    (m, n_bins) counts and variances, NaN in bins too small to use.
     """
-    usable = counts >= MIN_BIN_COUNT
+    m, slots = len(spread), n_bins + 1
+    counts, sums, sq = (
+        np.bincount(slot, weights, minlength=m * slots).reshape(m, slots)[:, :n_bins]
+        for weights in (None, centered, centered * centered)
+    )
+    zero = spread == 0.0
+    end = int(zero.argmax()) if zero.any() else m
+    usable = counts[:end] >= MIN_BIN_COUNT
     per_row = usable.sum(axis=1)
     if (per_row < 2).any():
         raise InsufficientDataError("fewer than two usable bins")
+    if end < m:
+        raise InsufficientDataError(_ZERO_SPREAD)
     c = counts[usable].astype(float)
-    var = (sq[usable] - sums[usable] ** 2 / c) / (c - 1.0)
-    weighted = c * var
+    var = np.full(counts.shape, math.nan)
+    var[usable] = (sq[usable] - sums[usable] ** 2 / c) / (c - 1.0)
+    weighted = c * var[usable]
     # one np.sum per row over its own usable bins: a zero-padded sum along
     # axis 1 would group the terms, and so round, differently
     ends = np.cumsum(per_row).tolist()
     sums_per_row = [weighted[end - k : end].sum() for end, k in zip(ends, per_row.tolist())]
-    return np.array(sums_per_row) / (counts * usable).sum(axis=1), usable, c, var
-
-
-def _binned(s1, s2, n_bins):
-    """Shared binning kernel; returns (sigma_cond, se, edges, counts, bin_vars)."""
-    n = len(s1)
-    if n < 2 * MIN_BIN_COUNT:
-        raise InsufficientDataError("need at least four shots to bin")
-    center = s1.mean()
-    spread = s1.std(ddof=1)
-    if spread == 0.0:
-        raise InsufficientDataError(_ZERO_SPREAD)
-    edges = np.linspace(
-        center - HALF_RANGE_SIGMAS * spread, center + HALF_RANGE_SIGMAS * spread, n_bins + 1
-    )
-    idx = np.digitize(s1, edges) - 1
-    idx[s1 == edges[-1]] = n_bins - 1  # keep the inclusive upper boundary
-    inside = (idx >= 0) & (idx < n_bins)
-    which = idx[inside]
-    centered = s2[inside] - s2.mean()  # improves the single-pass cancellation
-    counts = np.bincount(which, minlength=n_bins)
-    sums = np.bincount(which, weights=centered, minlength=n_bins)
-    sq = np.bincount(which, weights=centered * centered, minlength=n_bins)
-    sigma, usable, c, var = _pooled(counts[None], sums[None], sq[None])
-    sigma_cond = float(sigma[0])
-    bin_var = np.full(n_bins, math.nan)
-    bin_var[usable[0]] = var
-    # per-bin Var(variance) ~ 2*sigma^4/(n_b - 1), pooled sigma^4.
-    se = float(sigma_cond * math.sqrt(2.0 * np.sum(c**2 / (c - 1.0))) / c.sum())
-    return sigma_cond, se, edges, counts, bin_var
+    return np.array(sums_per_row) / (counts * usable).sum(axis=1), counts, var
 
 
 def binned_conditional(data: RunResult, n_bins: int = DEFAULT_BINS) -> ConditionalResult:
@@ -164,9 +159,21 @@ def binned_conditional(data: RunResult, n_bins: int = DEFAULT_BINS) -> Condition
     and +inf when sigma_cond does not exceed the shot-noise floor (see
     :func:`squeezing_db`).
     """
-    if n_bins < 1:
-        raise ValueError("n_bins must be at least 1")
-    sigma_cond, se, edges, counts, bin_var = _binned(data.s1, data.s2, n_bins)
+    if not is_positive_int(n_bins):
+        raise ValueError(f"n_bins must be a positive integer, got {n_bins!r}")
+    s1, s2 = data.s1, data.s2
+    if len(s1) < 2 * MIN_BIN_COUNT:
+        raise InsufficientDataError("need at least four shots to bin")
+    (edges,), spread = _edges(s1[None], n_bins)
+    slot = np.digitize(s1, edges) - 1
+    slot[s1 == edges[-1]] = n_bins - 1  # keep the inclusive upper boundary
+    slot[slot < 0] = n_bins  # below the range: the dummy slot, as above it
+    centered = s2 - s2.mean()  # improves the single-pass cancellation
+    sigma, (counts,), (bin_var,) = _pool(slot, centered, spread, n_bins)
+    sigma_cond = float(sigma[0])
+    c = counts[counts >= MIN_BIN_COUNT].astype(float)
+    # per-bin Var(variance) ~ 2*sigma^4/(n_b - 1), pooled sigma^4.
+    se = float(sigma_cond * math.sqrt(2.0 * np.sum(c**2 / (c - 1.0))) / c.sum())
     kappa = math.sqrt(float(np.mean(data.kappa_shot**2)))
     db = squeezing_db(sigma_cond, kappa) if kappa else math.nan
     return ConditionalResult(
@@ -198,12 +205,13 @@ def squeezing_db(sigma_cond: float, kappa: float) -> float:
 
 
 def _sigma_cond_rows(s1, s2):
-    """sigma_cond of each row of a block of resample indices, as _binned gives it.
+    """sigma_cond of each row of a block of resample indices, as binned_conditional gives it.
 
-    s1 is sorted once; a row's shots take the bin of their rank, found by
-    locating the row's edges in the sorted s1 with the comparisons of
-    np.digitize (edges[k] <= x < edges[k+1], and x == edges[-1] in the top
-    bin).  Counts, sums and squares accumulate in draw order, as in _binned.
+    Only the bin lookup differs from binned_conditional: s1 is sorted once,
+    and a row's shots take the bin of their rank, found by locating the
+    row's edges in the sorted s1 with the comparisons of np.digitize
+    (edges[k] <= x < edges[k+1], and x == edges[-1] in the top bin).  The
+    edges, centring and pooling are the shared _edges and _pool.
     """
     n, n_bins = len(s1), DEFAULT_BINS
     order = np.argsort(s1, kind="stable")
@@ -214,15 +222,9 @@ def _sigma_cond_rows(s1, s2):
     slots = n_bins + 1
     segment_slot = np.r_[n_bins, np.arange(n_bins), n_bins]
 
-    def slots_of(idx):
-        """Slot of every draw (row * slots + bin), and the spread of s1 in each row."""
+    def rows(idx):
         m = len(idx)
-        x = s1.take(idx)
-        center, spread = x.mean(axis=1), x.std(axis=1, ddof=1)
-        # zero-spread rows raise in rows(); a stand-in keeps np.linspace on the
-        # path that it takes for a single row with nonzero spread
-        half = HALF_RANGE_SIGMAS * np.where(spread == 0.0, 1.0, spread)
-        edges = np.linspace(center - half, center + half, n_bins + 1, axis=1)
+        edges, spread = _edges(s1.take(idx), n_bins)
         bounds = np.empty((m, n_bins + 3), dtype=np.intp)
         bounds[:, 0], bounds[:, -1] = 0, n
         bounds[:, 1:-1] = np.searchsorted(ranked, edges, side="left")
@@ -231,25 +233,9 @@ def _sigma_cond_rows(s1, s2):
         label = np.repeat(segment_slot + slots * np.arange(m)[:, None], np.diff(bounds).ravel())
         pos = rank.take(idx)
         pos += n * np.arange(m)[:, None]
-        return label.take(pos).ravel(), spread
-
-    def rows(idx):
-        m = len(idx)
-        which, spread = slots_of(idx)
         centered = s2.take(idx)
         centered -= centered.mean(axis=1, keepdims=True)
-        centered = centered.ravel()
-        counts, sums, sq = (
-            np.bincount(which, weights, minlength=m * slots).reshape(m, slots)[:, :n_bins]
-            for weights in (None, centered, centered * centered)
-        )
-        # rows before the first zero-spread one are pooled (and may raise first)
-        zero = spread == 0.0
-        end = int(zero.argmax()) if zero.any() else m
-        values = _pooled(counts[:end], sums[:end], sq[:end])[0]
-        if end < m:
-            raise InsufficientDataError(_ZERO_SPREAD)
-        return values
+        return _pool(label.take(pos).ravel(), centered.ravel(), spread, n_bins)[0]
 
     return rows
 
@@ -297,7 +283,7 @@ def bootstrap_ci(
         raise ValueError(
             f"unknown estimator {estimator!r}; choose from {sorted(_ESTIMATORS)}"
         )
-    if isinstance(resamples, bool) or not isinstance(resamples, numbers.Integral) or resamples < 1:
+    if not is_positive_int(resamples):
         raise ValueError(f"resamples must be a positive integer, got {resamples!r}")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")

@@ -276,6 +276,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             run_kappa_sweep(cfg(), [])
 
+    @pytest.mark.parametrize("workers", [0, 1.5, True])
+    def test_workers_checked_at_call(self, workers):
+        with pytest.raises(ValueError, match="workers must be a positive integer"):
+            run_kappa_sweep(cfg(), [0.1], workers=workers)
+
     def test_runs_are_sampled_as_iterated(self, monkeypatch):
         calls = []
 

@@ -1,6 +1,8 @@
 """Tests for the estimators: exact identities, oracle agreement, bootstrap."""
 
+import gc
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -137,8 +139,23 @@ class TestBinnedConditional:
             binned_conditional(columns(np.full(40, 1.0), np.full(40, 0.5)))  # zero spread
         with pytest.raises(InsufficientDataError):
             binned_conditional(noise_run(40), n_bins=1)  # one usable bin
-        with pytest.raises(ValueError):
-            binned_conditional(noise_run(40), n_bins=0)
+
+    @pytest.mark.parametrize("n_bins", [0, 2.5, True, "21"])
+    def test_n_bins_must_be_a_positive_integer(self, n_bins):
+        with pytest.raises(ValueError, match="n_bins must be a positive integer"):
+            binned_conditional(noise_run(40), n_bins=n_bins)
+
+    def test_peak_memory(self):
+        # one bin slot per shot, centred s2 and its square: no masked copies
+        data = noise_run(400_000)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            binned_conditional(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * data.s1.nbytes
 
 
 class TestExactConditional:
@@ -272,10 +289,10 @@ class TestBootstrap:
         idx = np.array([np.arange(len(s1))] + [perm.permutation(len(s1)) for _ in range(4)])
         rows = stats._ESTIMATORS["sigma_cond"](s1, s2)(idx)
         for row, value in zip(idx, rows):
-            sigma_cond, _, edges, counts, _ = stats._binned(s1[row], s2[row], stats.DEFAULT_BINS)
-            assert (edges[0], edges[-1]) == (-2.5, 2.5)
-            assert counts[0] == counts[-1] == 2
-            assert value == sigma_cond
+            cond = binned_conditional(columns(s1[row], s2[row]))
+            assert (cond.bin_edges[0], cond.bin_edges[-1]) == (-2.5, 2.5)
+            assert cond.per_bin[0][0] == cond.per_bin[-1][0] == 2
+            assert value == cond.sigma_cond
 
 
 class TestFigureThreeCProperty:
