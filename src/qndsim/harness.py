@@ -11,10 +11,12 @@ across seeds.  Every emitted file is listed in exactly one manifest together
 with its content hash, the resolved spec, and the seed, so a run can be
 reproduced byte for byte.
 
-Every file goes through one write path, in a single pass: a table is
-formatted a block of rows at a time (one ``%`` operation per block, 9
-significant digits), and each block is written and hashed before the next is
-formatted; the manifest takes those digests and never re-reads a file.
+Every file goes through one write path, in a single pass: a table is handed
+over as its columns, each block of rows is interleaved from the columns'
+slices and formatted with one ``%`` operation (9 significant digits), and
+each block is written and hashed before the next is formatted; no caller
+builds a row table, and the manifest takes the digests and never re-reads a
+file.
 ``sweep`` and ``conditional`` share one driver, :func:`_sweep`: each figure
 declares its statistics once, as (name, estimate, SE, model target), and the
 driver builds both the table columns and the ``--check`` bands from them.
@@ -82,8 +84,14 @@ class ExperimentSpec:
     outputs: str = "out"
 
     def __post_init__(self):
-        if not self.name:
-            raise SpecError("spec name must be non-empty")
+        # the name prefixes every file name, so it may not hold a path separator
+        name = self.name
+        if not isinstance(name, str) or not name or "/" in name or "\\" in name:
+            raise SpecError(f"name must be a non-empty string without '/' or '\\', got {name!r}")
+        if not isinstance(self.outputs, str):
+            raise SpecError(f"outputs must be a string, got {self.outputs!r}")
+        if self.physics_sheet is not None and not isinstance(self.physics_sheet, str):
+            raise SpecError(f"physics_sheet must be a string or null, got {self.physics_sheet!r}")
         if self.kappa_grid is not None and self.photon_grid is not None:
             raise SpecError("kappa_grid and photon_grid are mutually exclusive")
         if self.photon_grid is not None and not self.physics_sheet:
@@ -122,12 +130,12 @@ def spec_from_mapping(raw: dict, source: str = "<spec>") -> ExperimentSpec:
     try:
         sequence = SequenceConfig(**seq_raw)
         return ExperimentSpec(
-            name=str(raw.get("name", "")),
+            name=raw.get("name", ""),
             physics_sheet=raw.get("physics_sheet"),
             sequence=sequence,
             kappa_grid=_grid(raw, "kappa_grid"),
             photon_grid=_grid(raw, "photon_grid"),
-            outputs=str(raw.get("outputs", "out")),
+            outputs=raw.get("outputs", "out"),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, SpecError):
@@ -205,11 +213,17 @@ def _write_text(path: Path, parts) -> str:
     return digest.hexdigest()
 
 
-def _write_csv(path: Path, header: str, table) -> str:
-    """Write an (n, k) table under ``header``, one ``%`` per block of rows; return its sha256."""
-    table = np.asarray(table, dtype=float)
-    row = ",".join([_FMT] * table.shape[1]) + "\n"
-    blocks = (table[i : i + _BLOCK_ROWS] for i in range(0, len(table), _BLOCK_ROWS))
+def _write_csv(path: Path, header: str, columns) -> str:
+    """Write k equal-length columns under ``header``, one ``%`` per block of rows.
+
+    Each block's rows are interleaved from the columns' slices, so no table of
+    the whole file is built.  Returns the sha256 of the bytes written.
+    """
+    row = ",".join([_FMT] * len(columns)) + "\n"
+    blocks = (
+        np.column_stack([np.asarray(c[i : i + _BLOCK_ROWS], dtype=float) for c in columns])
+        for i in range(0, len(columns[0]), _BLOCK_ROWS)
+    )
     text = ((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
     return _write_text(path, itertools.chain([header + "\n"], text))
 
@@ -314,7 +328,7 @@ def cmd_joint(spec: ExperimentSpec, workers: int = 1) -> FigureBundle:
     for panel, cfg in panels.items():
         result = run_sequence(cfg, workers=workers)
         path = outdir / f"{spec.name}_joint_{panel}.csv"
-        data[path] = _write_csv(path, "s1,s2", np.column_stack((result.s1, result.s2)))
+        data[path] = _write_csv(path, "s1,s2", (result.s1, result.s2))
         vs = stats.variances(result)
         summary["panels"][panel] = {
             "kappa": cfg.kappa_nominal,
@@ -372,12 +386,12 @@ def _sweep(spec, stem, modes, point, theory, header, theory_header, check, worke
             if check:
                 failures += _band_failures(" ".join([*tag, f"kappa={kappa:g}"]), statistics)
         path = outdir / ("_".join([spec.name, stem, *tag]) + ".csv")
-        data[path] = _write_csv(path, header, rows)
+        data[path] = _write_csv(path, header, list(zip(*rows)))
     theory_path = outdir / f"{spec.name}_{stem}_theory.csv"
     theory_rows = [
         (k, *theory(replace(spec.sequence, kappa_nominal=float(k)))) for k in _theory_kappas(grid)
     ]
-    theory_files = {theory_path: _write_csv(theory_path, theory_header, theory_rows)}
+    theory_files = {theory_path: _write_csv(theory_path, theory_header, list(zip(*theory_rows)))}
     bundle = _emit_manifest(outdir, spec, f"{stem}_sweep", data, theory_files)
     if failures:
         raise CheckFailure("; ".join(failures))
@@ -459,7 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     kap = subs.add_parser("kappa", help="derived coupling for a parameter sheet")
-    kap.add_argument("--sheet", required=True, help="parameter sheet (JSON path or bundled name)")
+    kap.add_argument(
+        "--sheet", required=True, help="parameter sheet: a JSON path, or a bundled name (yb171)"
+    )
     kap.add_argument("--photons", type=float, default=None, help="override photon number")
     kap.add_argument("--json", action="store_true", help="emit the report as JSON")
 

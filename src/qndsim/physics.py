@@ -264,12 +264,13 @@ def sheet_from_mapping(raw: dict, source: str = "<sheet>") -> ParameterSheet:
 def load_sheet(path: str | Path) -> ParameterSheet:
     """Load a parameter sheet from a JSON file.
 
-    ``path`` may also name a bundled sheet ("yb171") when no such file exists.
+    ``path`` may also name a bundled sheet ("yb171") when no such file exists:
+    a bare name, with no directory and no suffix, so a mistyped path is an error.
     """
     p = Path(path)
     if not p.exists():
-        bundled = resources.files("qndsim").joinpath(f"data/{p.stem}.json")
-        if bundled.is_file():
+        bundled = resources.files("qndsim").joinpath(f"data/{p.name}.json")
+        if str(path) == p.name and not p.suffix and bundled.is_file():
             return sheet_from_mapping(json.loads(bundled.read_text()), source=str(path))
         raise SheetError(f"{path}: no such sheet")
     try:

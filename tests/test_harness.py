@@ -217,7 +217,7 @@ class TestJoint:
 
     def test_holds_one_run_at_a_time(self, tmp_path):
         # each panel's run is dropped before the next panel is sampled; the
-        # peak is one run, its two-column scatter table and one CSV block
+        # peak is one run, the s1/s2 stack np.corrcoef makes and one CSV block
         # (100k shots: several chunks, and the traced CSV formatting stays short)
         spec = make_spec(tmp_path)
         spec = replace(spec, sequence=replace(spec.sequence, shots=100_000))
@@ -450,18 +450,34 @@ class TestCliEntry:
             ({}, {"kappa_grid": []}, "kappa_grid must be non-empty"),
             ({}, {"kappa_grid": None, "physics_sheet": "yb171", "photon_grid": []},
              "photon_grid must be non-empty"),
+            ({}, {"kappa_grid": None, "physics_sheet": 5, "photon_grid": [1e6]},
+             "physics_sheet must be a string or null, got 5"),
+            ({}, {"kappa_grid": None, "physics_sheet": ["yb171"], "photon_grid": [1e6]},
+             "physics_sheet must be a string or null, got ['yb171']"),
+            ({}, {"name": None}, "name must be a non-empty string without '/' or '\\', got None"),
+            ({}, {"name": "../escaped"},
+             "name must be a non-empty string without '/' or '\\', got '../escaped'"),
+            ({}, {"name": "a/b"}, "name must be a non-empty string without '/' or '\\', got 'a/b'"),
+            ({}, {"name": "a\\b"},
+             "name must be a non-empty string without '/' or '\\', got 'a\\\\b'"),
+            ({}, {"outputs": None}, "outputs must be a string, got None"),
         ],
         ids=["float_shots", "float_seed", "bool_shots", "int_flag", "str_kappa", "nan_eta",
              "inf_spread", "str_grid", "nan_grid", "bool_photons", "string_grid",
              "object_grid", "scalar_grid", "scalar_photons", "huge_kappa", "huge_grid",
-             "empty_grid", "empty_photons"],
+             "empty_grid", "empty_photons", "int_sheet", "list_sheet", "null_name",
+             "escaping_name", "nested_name", "backslash_name", "null_outputs"],
     )
-    def test_mistyped_spec_values_exit_2(self, tmp_path, capsys, sequence, grids, message):
+    def test_mistyped_spec_values_exit_2(
+        self, tmp_path, monkeypatch, capsys, sequence, grids, message
+    ):
+        monkeypatch.chdir(tmp_path)  # a relative output directory would land here
         base = {"mode": "qnd", "kappa_nominal": 0.62, "shots": 2600, "seed": SEED}
         path = write_spec(tmp_path, sequence={**base, **sequence}, **grids)
         assert main(["sweep", "--spec", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert list(tmp_path.iterdir()) == [path]  # nothing written, inside or out
 
     @pytest.mark.parametrize("command", ["joint", "sweep", "conditional"])
     @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -503,6 +519,16 @@ class TestCliEntry:
         report = json.loads(capsys.readouterr().out)
         assert report["epsilon"] == 0.093
 
+    @pytest.mark.parametrize(
+        "sheet", ["/nonexistent/dir/yb171.json", "yb171.txt", "yb171.json", "data/yb171"]
+    )
+    def test_mistyped_sheet_path_exit_2(self, tmp_path, monkeypatch, capsys, sheet):
+        # only the bare name "yb171" falls back on the bundled sheet: a
+        # directory or a suffix makes it a path, and a missing path is an error
+        monkeypatch.chdir(tmp_path)
+        assert main(["kappa", "--sheet", sheet]) == 2
+        assert capsys.readouterr().err == f"error: {sheet}: no such sheet\n"
+
 
 class TestSpecTypes:
     def test_direct_construction_checks(self):
@@ -521,7 +547,7 @@ class TestCsvWriter:
 
     def assert_same_bytes(self, tmp_path, rows, header="a"):
         path = tmp_path / "table.csv"
-        digest = harness._write_csv(path, header, rows)
+        digest = harness._write_csv(path, header, list(zip(*rows)))
         written = path.read_bytes()
         assert written == self.reference(header, rows)
         assert digest == hashlib.sha256(written).hexdigest()
@@ -568,3 +594,18 @@ class TestCsvWriter:
     def test_one_row_or_one_column(self, tmp_path, shape):
         rows = np.random.default_rng(3).normal(size=shape).tolist()
         self.assert_same_bytes(tmp_path, rows)
+
+    def test_peak_memory_is_one_block(self, tmp_path):
+        # the columns are interleaved a block at a time: no (n, k) table of the
+        # whole file, which alone would be 1x the columns' bytes
+        rng = np.random.default_rng(13)
+        columns = (rng.normal(size=400_000), rng.normal(size=400_000))
+        column_bytes = sum(c.nbytes for c in columns)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            harness._write_csv(tmp_path / "table.csv", "s1,s2", columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.3 * column_bytes
