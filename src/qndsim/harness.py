@@ -13,10 +13,11 @@ reproduced byte for byte.
 
 Every file goes through one write path, in a single pass: a table is handed
 over as its columns, each block of rows is interleaved from the columns'
-slices and formatted with one ``%`` operation (9 significant digits), and
-each block is written and hashed before the next is formatted; no caller
-builds a row table, and the manifest takes the digests and never re-reads a
-file.
+slices and turned into ``%.9g`` text by NumPy arithmetic (byte for byte what
+``%`` writes; a value that could round differently, such as a near-tie, is
+formatted by ``%`` itself), and each block is written and hashed before the
+next is formatted; no caller builds a row table, and the manifest takes the
+digests and never re-reads a file.
 ``sweep`` and ``conditional`` share one driver, :func:`_sweep`: each figure
 declares its statistics once, as (name, estimate, SE, model target), and the
 driver builds both the table columns and the ``--check`` bands from them.
@@ -191,7 +192,7 @@ class FigureBundle:
 
 
 _FMT = "%.9g"  # every number the harness writes or prints
-_BLOCK_ROWS = 8192  # table rows formatted per % operation: bounds the text held at once
+_BLOCK_ROWS = 2048  # table rows formatted at once: bounds the temporaries (about 280 B a value)
 
 
 def _fmt(x) -> str:
@@ -202,30 +203,120 @@ def _round9(x: float) -> float:
     return float(_fmt(x))
 
 
+def _digit_words() -> np.ndarray:
+    """The ASCII digits of 0..9999 as little-endian uint32 words, in six sections.
+
+    A NUL byte stands for a digit that is not written.  The sections, at
+    multiples of 10000, are the word variants :func:`_csv_block` picks from.
+    """
+    d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    digits = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), axis=-1).reshape(-1, 4)
+    nonzero = digits > ord("0")
+    lead = np.logical_or.accumulate(nonzero, axis=1)  # from the first nonzero digit on
+    trail = np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]  # up to the last one
+    chars = np.stack([digits] * 6)
+    chars[0] *= lead & [False, False, True, True]  # two digits after separator and sign
+    chars[2] *= lead
+    chars[3:5, :, :3] = digits[:, 1:]  # three digits before the point
+    chars[3:5, :, 3] = 0
+    chars[4, :, :3] *= lead[:, 1:] | [False, False, True]  # 0 as "0"
+    chars[5] *= trail
+    return chars.view("<u4").ravel()
+
+
+_WORDS = _digit_words()
+_TOP, _FULL, _LEAD, _LOW_FULL, _LOW_LEAD, _TRAIL = range(0, 60_000, 10_000)
+_POW10 = 10.0 ** np.arange(13)  # exact in float64
+# an integer part of up to 9 digits splits 2+4+3, a 12-digit fraction 4+4+4
+_GROUP_DIV = np.array([[1e7, 1e3], [1e8, 1e4]])[:, :, None]
+_GROUP_MOD = np.array([1e4, 1e3, 0.0, 1e4, 1e4])[:, None]
+_MINUS = np.uint32(ord("-") << 8)
+_POINT = np.uint32(ord(".") << 24)
+
+
+def _csv_block(block: np.ndarray) -> bytes:
+    """The ``%.9g`` text of a (rows, k) block of floats, each row led by its newline.
+
+    A value in ``%``'s fixed form (exponent -4 to 8) has nine significant
+    digits m = |x|·10^p, rounded, with p digits after the point.  10^p is
+    exact and m < 2^30, so the computed m lies within 6e-8 of the exact
+    product and rounds as the exact decimal does, which ``%`` rounds
+    correctly, unless it is within 1e-6 of a tie.  Zeros, non-finite values,
+    exponent forms and near-ties are formatted by ``%`` itself, one at a time.
+
+    Each value is written as six words: separator, sign and the integer
+    part's top two digits; its next four; its last three and the point; the
+    12-digit fraction in three.  Suppressed digits are NUL, and one
+    ``compress`` drops them.
+    """
+    values = block.ravel()
+    a = np.abs(values)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zeros, inf, nan: flagged below
+        # p = 8 - floor(log10 a); the 1e-9 keeps exact powers of ten on this
+        # path, and a misjudged p leaves m outside [1e8, 1e9)
+        p = np.fmin(np.fmax(9 - 1e-9 - np.log10(a), 0), 12).astype(np.intp)
+        scale = _POW10[p]
+        m = a * scale
+        digits = np.rint(m)
+        exact = (np.abs(m - digits) <= 0.499999) & (m >= 1e8) & (m < 999999999.5)
+    slow = np.flatnonzero(~exact)
+    if slow.size:  # an in-range stand-in, overwritten below
+        digits[slow], scale[slow], p[slow] = 1e8, 1e8, 8
+    # the integer part and the 12-digit fraction, each cut into three groups
+    groups = np.empty((2, 3, values.size))
+    np.floor(digits / scale, out=groups[0, 2])
+    groups[1, 2] = (digits - groups[0, 2] * scale) * _POW10[12 - p]
+    np.floor(groups[:, 2:] / _GROUP_DIV, out=groups[:, :2])
+    groups = groups.reshape(6, -1)
+    groups[1:] -= groups[:-1] * _GROUP_MOD
+    # a group is written in full when a digit is written before it (integer
+    # part) or after it (fraction); otherwise its outer zeros are suppressed
+    nonzero = groups > 0
+    nonzero[1] |= nonzero[0]
+    nonzero[4] |= nonzero[5]
+    # group 0 indexes the first section, _TOP, as it stands
+    groups[1] += np.where(nonzero[0], _FULL, _LEAD)
+    groups[2] += np.where(nonzero[1], _LOW_FULL, _LOW_LEAD)
+    groups[3] += np.where(nonzero[4], _FULL, _TRAIL)
+    groups[4] += np.where(nonzero[5], _FULL, _TRAIL)
+    groups[5] += _TRAIL
+    words = _WORDS.take(groups.T.astype(np.intp, order="C"))
+    separators = np.full(block.shape, ord(","), dtype="<u4")
+    separators[:, 0] = ord("\n")
+    words[:, 0] += separators.ravel() + np.signbit(values) * _MINUS
+    words[:, 2] += (nonzero[3] | nonzero[4]) * _POINT
+    text = words.view(np.uint8)
+    if slow.size:
+        exact_text = np.array([_FMT % v for v in values[slow].tolist()], dtype="S23")
+        text[slow, 1:] = exact_text.view(np.uint8).reshape(-1, 23)
+    text = text.ravel()
+    return np.compress(text != 0, text).tobytes()
+
+
 def _write_text(path: Path, parts) -> str:
-    """Write the text ``parts`` to ``path`` in order; return the sha256 of the bytes written."""
+    """Write ``parts`` (text or bytes) to ``path`` in order; return the sha256 of the bytes written."""
     digest = hashlib.sha256()
     with path.open("wb") as f:
         for part in parts:
-            data = part.encode()
+            data = part.encode() if isinstance(part, str) else part
             f.write(data)
             digest.update(data)
     return digest.hexdigest()
 
 
 def _write_csv(path: Path, header: str, columns) -> str:
-    """Write k equal-length columns under ``header``, one ``%`` per block of rows.
+    """Write k equal-length columns under ``header``, a block of rows at a time.
 
     Each block's rows are interleaved from the columns' slices, so no table of
-    the whole file is built.  Returns the sha256 of the bytes written.
+    the whole file is built, and turned into text by :func:`_csv_block`, which
+    leads each row with the newline ending the line before.  Returns the
+    sha256 of the bytes written.
     """
-    row = ",".join([_FMT] * len(columns)) + "\n"
     blocks = (
         np.column_stack([np.asarray(c[i : i + _BLOCK_ROWS], dtype=float) for c in columns])
         for i in range(0, len(columns[0]), _BLOCK_ROWS)
     )
-    text = ((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
-    return _write_text(path, itertools.chain([header + "\n"], text))
+    return _write_text(path, itertools.chain([header], map(_csv_block, blocks), ["\n"]))
 
 
 def _json_ready(obj):
@@ -351,11 +442,14 @@ def _theory_kappas(grid: list[float]) -> np.ndarray:
 
 
 def _band_failures(label: str, points) -> list[str]:
-    """Messages for the (name, value, se, target) points outside the check band."""
+    """Messages for the (name, value, se, target) points outside the check band.
+
+    A nan or infinite estimate, SE or target is outside every band.
+    """
     return [
         f"{label}: {name}={value:.4f} vs {target:.4f} exceeds {CHECK_SIGMAS:g} SE ({se:.4f})"
         for name, value, se, target in points
-        if abs(value - target) > CHECK_SIGMAS * se
+        if not abs(value - target) <= CHECK_SIGMAS * se < math.inf
     ]
 
 

@@ -152,23 +152,31 @@ def predict(config: SequenceConfig) -> Prediction:
     the recorded quadrature is the spec's basis.  kappa_shot is drawn
     independently of every quadrature, so the second moments are exact under
     atom-number spread too; the conditional variance there is the Gaussian
-    (best-linear) one, the Schur complement Var(s2) - Cov^2/Var(s1).
+    (best-linear) one, the Schur complement Var(s2) - Cov^2/Var(s1).  A model
+    that overflows float64 raises ValueError, so no inf or nan moment reaches a
+    theory table or a ``--check`` band.
     """
     kappa = math.copysign(math.sqrt(mean_kappa_sq(config)), config.kappa_nominal)
-    state = apply_map(coherent_init(2), qnd_map(2, 1, kappa))
-    if config.mode == "reinit":
-        state = apply_loss(state, ATOM, 0.0)
-    state = apply_map(state, qnd_map(2, 2, kappa))
-    for k in (1, 2):
-        state = apply_loss(state, pulse(k), config.eta)
-    q = 0 if config.basis == "y" else 1  # pulse k's quadrature sits at 2*k + q
-    conditioned = condition_on(state, pulse(1), config.basis, 0.0)
-    return Prediction(
-        var1=marginal(state, pulse(1))[2 + q],
-        var2=marginal(state, pulse(2))[2 + q],
-        cov=float(state.cov[2 + q, 4 + q]),
-        cond=marginal(conditioned, pulse(2))[2 + q],
-    )
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            state = apply_map(coherent_init(2), qnd_map(2, 1, kappa))
+            if config.mode == "reinit":
+                state = apply_loss(state, ATOM, 0.0)
+            state = apply_map(state, qnd_map(2, 2, kappa))
+            for k in (1, 2):
+                state = apply_loss(state, pulse(k), config.eta)
+            q = 0 if config.basis == "y" else 1  # pulse k's quadrature sits at 2*k + q
+            conditioned = condition_on(state, pulse(1), config.basis, 0.0)
+            return Prediction(
+                var1=marginal(state, pulse(1))[2 + q],
+                var2=marginal(state, pulse(2))[2 + q],
+                cov=float(state.cov[2 + q, 4 + q]),
+                cond=marginal(conditioned, pulse(2))[2 + q],
+            )
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"kappa={config.kappa_nominal!r}: the model overflows float64"
+        ) from exc
 
 
 @dataclass(frozen=True)

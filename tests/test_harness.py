@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qndsim import harness
 from qndsim.harness import (
@@ -308,6 +310,23 @@ class TestVarianceSweep:
         assert stored["spec"]["sequence"]["kappa_nominal"] == 0.62
 
 
+class TestCheckBand:
+    def test_non_finite_points_fail(self):
+        # nan compares False, so "outside the band" must be the negated "inside"
+        points = [
+            ("nan_value", math.nan, 0.01, 0.5),
+            ("inf_value", math.inf, 0.01, 0.5),
+            ("nan_se", 0.5, math.nan, 0.5),
+            ("inf_se", math.inf, math.inf, 0.5),
+            ("nan_target", 0.5, 0.01, math.nan),
+            ("inside", 0.52, 0.01, 0.5),
+        ]
+        failures = harness._band_failures("kappa=1", points)
+        assert [f.split("=")[1] for f in failures] == [
+            "1: nan_value", "1: inf_value", "1: nan_se", "1: inf_se", "1: nan_target"
+        ]
+
+
 class TestConditionalSweep:
     def test_separation_and_squeezing(self, tmp_path):
         spec = make_spec(tmp_path)
@@ -488,6 +507,17 @@ class TestCliEntry:
         assert err == f"error: workers must be a positive integer, got {workers}\n"
         assert list((tmp_path / "out").glob("*")) == []
 
+    @pytest.mark.parametrize("command", ["sweep", "conditional"])
+    def test_overflowing_kappa_exit_2_before_sampling(self, tmp_path, monkeypatch, capsys, command):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(harness, "run_kappa_sweep", no_sampling)
+        path = write_spec(tmp_path, kappa_grid=[0.0, 1e160])
+        assert main([command, "--spec", str(path), "--check"]) == 2
+        assert capsys.readouterr().err == "error: kappa=1e+160: the model overflows float64\n"
+        assert list((tmp_path / "out").glob("*")) == []
+
     def test_io_error_exit_code(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -538,7 +568,7 @@ class TestSpecTypes:
 
 
 class TestCsvWriter:
-    """The one-operation table formatter against the per-value f-string."""
+    """The NumPy table formatter against the per-value f-string."""
 
     @staticmethod
     def reference(header, rows) -> bytes:
@@ -594,6 +624,28 @@ class TestCsvWriter:
     def test_one_row_or_one_column(self, tmp_path, shape):
         rows = np.random.default_rng(3).normal(size=shape).tolist()
         self.assert_same_bytes(tmp_path, rows)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 5).flatmap(
+        lambda k: st.lists(st.tuples(*[st.floats()] * k), min_size=1, max_size=40)))
+    def test_any_float64_table(self, tmp_path, rows):
+        # every float64 class: +-0, subnormals, normals, +-inf, nan
+        self.assert_same_bytes(tmp_path, rows)
+
+    def test_fixed_form_edges(self, tmp_path):
+        switch = np.array([9.9999999995e-05, 1e-4, 999999999.5, 1e9])  # fixed vs exponent form
+        switch = np.concatenate([switch, np.nextafter(switch, 0.0), np.nextafter(switch, np.inf)])
+        powers = np.array([float(f"1e{k}") for k in range(-5, 10)])
+        near_powers = (powers.view(np.int64)[:, None] + np.arange(-5, 6)).view(np.float64)
+        carry_and_zeros = [0.9999999996, 1.5, 100.0, 0.00012]  # 1, and stripped zeros
+        edges = np.concatenate([switch, near_powers.ravel(), carry_and_zeros])
+        edges = np.concatenate([edges, -edges])
+        # after one full block, so the edges land in a partial last block
+        filler = np.random.default_rng(17).normal(size=2 * harness._BLOCK_ROWS)
+        table = np.concatenate([filler, edges]).reshape(-1, 2)
+        assert len(table) % harness._BLOCK_ROWS
+        self.assert_same_bytes(tmp_path, table.tolist(), header="x,y")
 
     def test_peak_memory_is_one_block(self, tmp_path):
         # the columns are interleaved a block at a time: no (n, k) table of the

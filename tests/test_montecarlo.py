@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -411,6 +412,13 @@ class TestPredict:
         for value in (m.var1, m.var2, m.sigma_plus, m.sigma_minus, m.cond):
             assert value == pytest.approx(0.5, abs=1e-12)
         assert m.cov == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["qnd", "reinit"])
+    @pytest.mark.parametrize("kappa", [1e160, -1e200])
+    def test_overflow_raises_naming_kappa(self, mode, kappa):
+        # an inf or nan moment would reach the theory table and the --check band
+        with pytest.raises(ValueError, match=re.escape(f"kappa={kappa!r}: the model overflows")):
+            predict(cfg(mode=mode, kappa_nominal=kappa))
 
     @pytest.mark.parametrize("eta", [0.0, 0.5, 0.8, 0.907])
     def test_loss(self, eta):
