@@ -71,11 +71,11 @@ class GaussianState:
     """Joint light-atom Gaussian state: labeled modes, mean vector, covariance.
 
     Immutable after construction; every operation below returns a new state.
-    Construction validates symmetry of ``cov`` and the per-mode uncertainty
-    bound ``Var(y)*Var(z) - Cov(y,z)^2 >= 1/4`` (within tolerances).  The
-    operations below build their results with :meth:`_derived`, unchecked:
-    a symplectic map, a loss channel and a Schur complement each keep a valid
-    state valid.
+    Construction validates a finite ``mean``, symmetry of ``cov`` and the
+    per-mode uncertainty bound ``Var(y)*Var(z) - Cov(y,z)^2 >= 1/4`` (within
+    tolerances; a NaN fails every test).  The operations below build their
+    results with :meth:`_derived`, unchecked: a symplectic map, a loss
+    channel and a Schur complement each keep a valid state valid.
     """
 
     modes: tuple[ModeLabel, ...]
@@ -93,17 +93,20 @@ class GaussianState:
             raise ValueError(f"mean must have shape ({dim},), got {mean.shape}")
         if cov.shape != (dim, dim):
             raise ValueError(f"cov must have shape ({dim}, {dim}), got {cov.shape}")
-        if dim and np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
+        if not np.isfinite(mean).all():
+            raise ValueError("mean must be finite")
+        # each test is written as `not (value <= tol)`, so that NaN fails it
+        if dim and not np.max(np.abs(cov - cov.T)) <= SYMMETRY_TOL:
             raise ValueError("covariance matrix is not symmetric")
         for pos in range(len(modes)):
             y, z = 2 * pos, 2 * pos + 1
             purity = cov[y, y] * cov[z, z] - cov[y, z] ** 2
-            if purity < 0.25 - UNCERTAINTY_TOL:
+            if not 0.25 - purity <= UNCERTAINTY_TOL:
                 raise ValueError(
                     f"mode {modes[pos]} violates the uncertainty bound: "
                     f"Var(y)Var(z)-Cov^2 = {purity:.6g} < 1/4"
                 )
-        if dim and np.linalg.eigvalsh(cov).min() < -UNCERTAINTY_TOL:
+        if dim and not -np.linalg.eigvalsh(cov).min() <= UNCERTAINTY_TOL:
             raise ValueError("covariance matrix is not positive semidefinite")
         self._freeze(modes, mean, cov)
 
@@ -144,7 +147,7 @@ class SymplecticMap:
         if F.ndim != 2 or F.shape[0] != F.shape[1] or F.shape[0] % 2:
             raise ValueError("matrix must be square with even dimension")
         Om = omega(F.shape[0] // 2)
-        if np.max(np.abs(F @ Om @ F.T - Om)) > SYMPLECTIC_TOL:
+        if not np.max(np.abs(F @ Om @ F.T - Om)) <= SYMPLECTIC_TOL:  # NaN fails
             raise ValueError("matrix is not symplectic")
         F.setflags(write=False)
         object.__setattr__(self, "matrix", F)

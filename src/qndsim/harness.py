@@ -21,6 +21,8 @@ digests and never re-reads a file.
 ``sweep`` and ``conditional`` share one driver, :func:`_sweep`: each figure
 declares its statistics once, as (name, estimate, SE, model target), and the
 driver builds both the table columns and the ``--check`` bands from them.
+Both squeezing columns of ``conditional``, data and theory, are
+:func:`qndsim.stats.squeezing_db` of the total and the conditional excess.
 Every command, ``joint`` included, summarises each run as it is sampled and
 drops it before sampling the next, so it holds one run's columns at a time.
 
@@ -43,14 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import stats
-from .montecarlo import (
-    SequenceConfig,
-    mean_kappa_sq,
-    predict,
-    run_kappa_sweep,
-    run_sequence,
-    sweep_seed,
-)
+from .montecarlo import SequenceConfig, predict, run_kappa_sweep, run_sequence, sweep_seed
 from .physics import (
     SheetError,
     coupling_strength,
@@ -407,13 +402,15 @@ def cmd_kappa(sheet_path: str, photons: float | None = None, as_json: bool = Fal
 
 def cmd_joint(spec: ExperimentSpec, workers: int = 1) -> FigureBundle:
     """Scatter panels: (a) no atoms, (b) coupled y basis, (c) z basis."""
-    outdir = _outdir(spec)
     seq = spec.sequence
     panels = {
         "a": replace(seq, kappa_nominal=0.0, basis="y", seed=sweep_seed(seq.seed, 0)),
         "b": replace(seq, basis="y", seed=sweep_seed(seq.seed, 1)),
         "c": replace(seq, basis="z", seed=sweep_seed(seq.seed, 2)),
     }
+    for cfg in panels.values():  # a config the model cannot take raises before any file
+        predict(cfg)
+    outdir = _outdir(spec)
     data = {}
     summary = {"config": asdict(seq), "panels": {}}
     for panel, cfg in panels.items():
@@ -421,11 +418,13 @@ def cmd_joint(spec: ExperimentSpec, workers: int = 1) -> FigureBundle:
         path = outdir / f"{spec.name}_joint_{panel}.csv"
         data[path] = _write_csv(path, "s1,s2", (result.s1, result.s2))
         vs = stats.variances(result)
+        # Pearson's r from the variances: sigma_plus - sigma_minus = 2*Cov(s1, s2)
+        r = (vs.sigma_plus - vs.sigma_minus) / (2.0 * math.sqrt(vs.sigma1 * vs.sigma2))
         summary["panels"][panel] = {
             "kappa": cfg.kappa_nominal,
             "basis": cfg.basis,
             "seed": cfg.seed,
-            "pearson_r": float(np.corrcoef(result.s1, result.s2)[0, 1]),
+            "pearson_r": r,
             **vs.to_dict(),
         }
         del result  # drop this panel's run before the next one is sampled
@@ -534,10 +533,9 @@ def cmd_conditional_sweep(
 
     def theory(config):
         model = predict(config)
-        # the data column's convention: squeezing at the rms per-shot coupling
-        kappa_rms = math.sqrt(mean_kappa_sq(config))
-        ideal = stats.squeezing_db(model.cond, kappa_rms) if config.kappa_nominal else math.nan
-        return model.var2 - 0.5, model.cond - 0.5, ideal
+        total, conditional = model.var2 - 0.5, model.cond - 0.5
+        ideal = stats.squeezing_db(total, conditional) if config.kappa_nominal else math.nan
+        return total, conditional, ideal
 
     return _sweep(
         spec, "conditional", [None], point, theory,

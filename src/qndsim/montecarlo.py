@@ -181,7 +181,7 @@ def predict(config: SequenceConfig) -> Prediction:
 
 @dataclass(frozen=True)
 class RunResult:
-    """All shots of one run, column-wise, with the config that produced them."""
+    """One run's shots, column-wise, and its config; no estimator reads jz1, jz2 or kappa_shot."""
 
     config: SequenceConfig
     s1: np.ndarray

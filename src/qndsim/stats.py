@@ -13,7 +13,7 @@ with one sort of s1 per call.  The bootstrap evaluates its resamples in
 blocks of about 2**14 draws, which keeps its arrays in cache and its memory
 flat; every estimator gives one value per row.  Each resample is still drawn
 by its own ``integers`` call, so neither the draws nor the intervals depend
-on the block size.
+on the block size.  The estimators read only a run's s1, s2 and config.
 """
 
 from __future__ import annotations
@@ -154,10 +154,9 @@ def binned_conditional(data: RunResult, n_bins: int = DEFAULT_BINS) -> Condition
 
     Bins cover mean(s1) +/- HALF_RANGE_SIGMAS * std(s1); shots outside are
     excluded.  sigma_cond averages the per-bin variances of s2 over bins with
-    at least two shots, weighted by bin count.  squeezing_db is taken at the
-    records' rms per-shot coupling; it is NaN at zero coupling (undefined)
-    and +inf when sigma_cond does not exceed the shot-noise floor (see
-    :func:`squeezing_db`).
+    at least two shots, weighted by bin count.  squeezing_db is
+    :func:`squeezing_db` of Var(s2) - 1/2 and sigma_cond - 1/2, and NaN at
+    zero nominal coupling, where it is undefined.
     """
     if not is_positive_int(n_bins):
         raise ValueError(f"n_bins must be a positive integer, got {n_bins!r}")
@@ -174,8 +173,8 @@ def binned_conditional(data: RunResult, n_bins: int = DEFAULT_BINS) -> Condition
     c = counts[counts >= MIN_BIN_COUNT].astype(float)
     # per-bin Var(variance) ~ 2*sigma^4/(n_b - 1), pooled sigma^4.
     se = float(sigma_cond * math.sqrt(2.0 * np.sum(c**2 / (c - 1.0))) / c.sum())
-    kappa = math.sqrt(float(np.mean(data.kappa_shot**2)))
-    db = squeezing_db(sigma_cond, kappa) if kappa else math.nan
+    total = float(_var(s2)) - 0.5
+    db = squeezing_db(total, sigma_cond - 0.5) if data.config.kappa_nominal else math.nan
     return ConditionalResult(
         sigma_cond=sigma_cond,
         n_bins=n_bins,
@@ -188,20 +187,19 @@ def binned_conditional(data: RunResult, n_bins: int = DEFAULT_BINS) -> Condition
     )
 
 
-def squeezing_db(sigma_cond: float, kappa: float) -> float:
-    """Squeezing of the inferred atomic z variance, in dB (positive = squeezed).
+def squeezing_db(total_excess: float, conditional_excess: float) -> float:
+    """Squeezing in dB, 10*log10(total_excess / conditional_excess): positive = squeezed.
 
-    The conditioning gain sigma_cond - 1/2 equals kappa^2 times the residual
-    atomic variance, so the ratio of the shot-noise floor kappa^2/2 to the
-    gain is the squeezing factor: 10*log10[(kappa^2/2) / (sigma_cond - 1/2)].
-    Returns +inf when sigma_cond does not exceed 1/2 (formally infinite
-    squeezing, a finite-sample artifact).
+    The excesses over the shot-noise floor, Var(s2) - 1/2 and Var(s2|s1) - 1/2,
+    need no coupling, so loss and atom-number spread leave the ratio right.
+    NaN unless total_excess > 0; +inf when conditional_excess <= 0 (formally
+    infinite squeezing, a finite-sample artifact).
     """
-    if kappa == 0.0:
-        raise ValueError("squeezing is undefined at zero coupling")
-    if sigma_cond <= 0.5:
+    if not total_excess > 0.0:
+        return math.nan
+    if conditional_excess <= 0.0:
         return math.inf
-    return 10.0 * math.log10((kappa * kappa / 2.0) / (sigma_cond - 0.5))
+    return 10.0 * math.log10(total_excess / conditional_excess)
 
 
 def _sigma_cond_rows(s1, s2):

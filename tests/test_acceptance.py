@@ -107,7 +107,7 @@ def test_criterion_4_conditional_suite():
     se_gain = (hi - lo) / 2
     assert gain > 3 * se_gain
 
-    ideal_db = squeezing_db(exact_conditional(0.62), 0.62)
+    ideal_db = squeezing_db(0.62**2 / 2, exact_conditional(0.62) - 0.5)
     assert ideal_db == pytest.approx(1.413, abs=5e-4)
     assert 0.3 <= ideal_db <= 4.2
     report(

@@ -241,8 +241,15 @@ class TestStateValidation:
     def test_asymmetric_cov_rejected(self):
         cov = 0.5 * np.eye(2)
         cov[0, 1] = 1e-6
-        with pytest.raises(ValueError, match="symmetric"):
-            GaussianState((ATOM,), np.zeros(2), cov)
+        # a NaN covariance fails the symmetry test too, written as not (<= tol)
+        for bad in (cov, np.full((2, 2), np.nan)):
+            with pytest.raises(ValueError, match="symmetric"):
+                GaussianState((ATOM,), np.zeros(2), bad)
+
+    def test_non_finite_mean_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="mean must be finite"):
+                GaussianState((ATOM,), np.array([0.0, bad]), 0.5 * np.eye(2))
 
     def test_uncertainty_violation_rejected(self):
         with pytest.raises(ValueError, match="uncertainty"):
@@ -277,5 +284,6 @@ class TestStateValidation:
         assert len(checked) == 1
 
     def test_non_symplectic_matrix_rejected(self):
-        with pytest.raises(ValueError, match="symplectic"):
-            SymplecticMap(2.0 * np.eye(4))
+        for bad in (2.0 * np.eye(4), np.full((2, 2), np.nan)):
+            with pytest.raises(ValueError, match="symplectic"):
+                SymplecticMap(bad)

@@ -7,7 +7,9 @@ release: a mismatch means the bits of a run changed there, which breaks the
 digests pin the raw float64 output of the sampler (Philox words, AS241 and
 the column algebra); the figure digests pin the CLI's data files for the
 README's fig3 spec, and were recorded before the sampler moved from
-``scipy.special.ndtri`` to the in-package AS241.  The bootstrap intervals are
+``scipy.special.ndtri`` to the in-package AS241; the one exception is
+``fig3_conditional.csv``, re-recorded when its squeezing column became the
+ratio of the two excesses, a deliberate change of that column alone.  The bootstrap intervals are
 ``float.hex`` of ``bootstrap_ci`` for every estimator, recorded with the
 resample-at-a-time loop before the blocked evaluation replaced it; 37
 resamples leave a partial last block at both shot counts.
@@ -66,7 +68,7 @@ FIG3_DIGESTS = {
     "fig3_joint_summary.json": "27241703d58409f7948808ad12ec3b8e491d1ef6fd2649bb2980385742f04771",
     "fig3_variance_qnd.csv": "3e5948e63be194b514061b59b0d111c499d7415e2a31949fbb222a81daf98cec",
     "fig3_variance_reinit.csv": "2d1f56a30a623f32b5b78ce0179d42f8dc8f83b38946f09854f39b84eb24bc73",
-    "fig3_conditional.csv": "8257065fe5645f3dc5c2ee7b65c5f31f2eca61feea7889940025f53dce4c651d",
+    "fig3_conditional.csv": "55569966feb69c3536fa9d455b6c82d5a8d2197dcc29aed6730de3bc80de3855",
 }
 
 

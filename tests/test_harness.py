@@ -219,7 +219,8 @@ class TestJoint:
 
     def test_holds_one_run_at_a_time(self, tmp_path):
         # each panel's run is dropped before the next panel is sampled; the
-        # peak is one run, the s1/s2 stack np.corrcoef makes and one CSV block
+        # peak (1.4x) is one run, the s1 +/- s2 column that the variances form
+        # and its centred copy in np.var
         # (100k shots: several chunks, and the traced CSV formatting stays short)
         spec = make_spec(tmp_path)
         spec = replace(spec, sequence=replace(spec.sequence, shots=100_000))
@@ -362,6 +363,24 @@ class TestConditionalSweep:
         kappa = last[0]
         assert last[1] == pytest.approx(kappa**2 / 2, rel=1e-8)
         assert last[2] == pytest.approx(kappa**2 / (2 * (1 + kappa**2)), rel=1e-8)
+
+    def test_squeezing_under_loss(self, tmp_path):
+        # loss scales both excesses by eta^2, so their ratio reads the
+        # model's 10*log10(1 + eta^2*kappa^2): 0.75 dB at eta 0.7, not the
+        # 3.8 dB of a normalisation by the nominal kappa^2/2
+        sequence = {"mode": "qnd", "kappa_nominal": 0.62, "eta": 0.7, "seed": SEED}
+        path = write_spec(tmp_path, sequence=sequence, kappa_grid=[0.0, 0.62])
+        assert main(["conditional", "--spec", str(path), "--shots", "200000"]) == 0
+        model = 10 * math.log10(1 + 0.7**2 * 0.62**2)
+        assert model == pytest.approx(0.7495, abs=1e-4)
+        out = tmp_path / "out"
+        rows = np.loadtxt(out / "t_conditional.csv", delimiter=",", skiprows=1)
+        assert math.isnan(rows[0, 3])
+        # the ratio's spread at 2*10^5 shots is about 0.03 dB
+        assert rows[1, 3] == pytest.approx(model, abs=0.15)
+        theory = np.loadtxt(out / "t_conditional_theory.csv", delimiter=",", skiprows=1)
+        assert math.isnan(theory[0, 3])
+        assert theory[-1, 3] == pytest.approx(model, abs=1e-8)
 
 
 class TestDeterminismAndBundles:
@@ -507,14 +526,17 @@ class TestCliEntry:
         assert err == f"error: workers must be a positive integer, got {workers}\n"
         assert list((tmp_path / "out").glob("*")) == []
 
-    @pytest.mark.parametrize("command", ["sweep", "conditional"])
+    @pytest.mark.parametrize("command", ["joint", "sweep", "conditional"])
     def test_overflowing_kappa_exit_2_before_sampling(self, tmp_path, monkeypatch, capsys, command):
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled")
 
         monkeypatch.setattr(harness, "run_kappa_sweep", no_sampling)
-        path = write_spec(tmp_path, kappa_grid=[0.0, 1e160])
-        assert main([command, "--spec", str(path), "--check"]) == 2
+        monkeypatch.setattr(harness, "run_sequence", no_sampling)
+        sequence = {"mode": "qnd", "kappa_nominal": 1e160, "shots": 2600, "seed": SEED}
+        path = write_spec(tmp_path, sequence=sequence, kappa_grid=[0.0, 1e160])
+        check = [] if command == "joint" else ["--check"]
+        assert main([command, "--spec", str(path), *check]) == 2
         assert capsys.readouterr().err == "error: kappa=1e+160: the model overflows float64\n"
         assert list((tmp_path / "out").glob("*")) == []
 

@@ -28,9 +28,9 @@ def exact_conditional(kappa):
     return (1.0 + 2.0 * k2) / (2.0 * (1.0 + k2))
 
 
-def conditional_from_db(db, kappa):
-    """Reference inverse of squeezing_db."""
-    return 0.5 + (kappa * kappa / 2.0) * 10.0 ** (-db / 10.0)
+def conditional_from_db(db, total_excess):
+    """Reference inverse of squeezing_db: the conditional excess giving ``db``."""
+    return total_excess * 10.0 ** (-db / 10.0)
 
 
 def run(**kwargs):
@@ -172,32 +172,60 @@ class TestExactConditional:
 
 
 class TestSqueezingDb:
+    # lossless y basis at kappa 0.62: total excess kappa^2/2
+    TOTAL = 0.62**2 / 2
+
     def test_ideal_point(self):
-        ideal = squeezing_db(exact_conditional(0.62), 0.62)
+        ideal = squeezing_db(self.TOTAL, exact_conditional(0.62) - 0.5)
         assert ideal == pytest.approx(10 * math.log10(1 + 0.62**2), abs=1e-12)
         assert ideal == pytest.approx(1.413, abs=5e-4)
         assert 0.3 <= ideal <= 4.2  # inside the 1.8 (+2.4/-1.5) dB measurement band
 
     def test_no_gain_is_zero_db(self):
-        assert squeezing_db((1 + 0.62**2) / 2, 0.62) == pytest.approx(0.0, abs=1e-12)
+        assert squeezing_db(self.TOTAL, self.TOTAL) == pytest.approx(0.0, abs=1e-12)
 
     def test_band_inversion(self):
-        sigma = conditional_from_db(1.8, 0.62)
-        assert sigma - 0.5 == pytest.approx(0.1270, abs=5e-5)
+        conditional = conditional_from_db(1.8, self.TOTAL)
+        assert conditional == pytest.approx(0.1270, abs=5e-5)
         # round trip
-        assert squeezing_db(sigma, 0.62) == pytest.approx(1.8, abs=1e-12)
+        assert squeezing_db(self.TOTAL, conditional) == pytest.approx(1.8, abs=1e-12)
 
     def test_floor_reports_infinite(self):
-        assert squeezing_db(0.5, 0.62) == math.inf
-        assert squeezing_db(0.43, 0.62) == math.inf
+        assert squeezing_db(self.TOTAL, 0.0) == math.inf
+        assert squeezing_db(self.TOTAL, -0.07) == math.inf
 
-    def test_zero_coupling_rejected(self):
-        with pytest.raises(ValueError):
-            squeezing_db(0.6, 0.0)
+    def test_no_total_excess_is_nan(self):
+        # no projection noise above the floor: nothing to squeeze
+        for total in (0.0, -0.01, math.nan):
+            assert math.isnan(squeezing_db(total, 0.1))
+            assert math.isnan(squeezing_db(total, -0.1))
 
     def test_monotone_decreasing_in_sigma(self):
-        values = [squeezing_db(s, 0.62) for s in np.linspace(0.51, 0.9, 40)]
+        values = [squeezing_db(self.TOTAL, c) for c in np.linspace(0.01, 0.4, 40)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    def test_data_ratio_matches_the_atoms_truth(self):
+        # under loss and atom-number spread, the ratio of the records' excesses
+        # is the squeezing of the atoms' own jz1 by its best-linear estimate
+        # from s1, which only a simulator can see
+        result = run(shots=200_000, eta=0.8, atom_fluctuation=True, spin_rel_std=0.05,
+                     seed=SEED + 2)
+        cond, vs = binned_conditional(result), variances(result)
+        cov = np.cov(result.jz1, result.s1)
+        truth = 10 * math.log10(cov[0, 0] / (cov[0, 0] - cov[0, 1] ** 2 / cov[1, 1]))
+        assert cond.squeezing_db == squeezing_db(vs.sigma2 - 0.5, cond.sigma_cond - 0.5)
+        # SE of 10*log10(T/C), T = v2 - 1/2 and C = v2 - c^2/v1 - 1/2, from the
+        # per-shot influence of the moments (v1, c, v2): the delta method
+        x1, x2 = result.s1 - result.s1.mean(), result.s2 - result.s2.mean()
+        v1, c, v2 = np.mean(x1 * x1), np.mean(x1 * x2), np.mean(x2 * x2)
+        t, b = v2 - 0.5, c / v1
+        u = t - b * c
+        influence = (x2 * x2 - v2) * (1 / t - 1 / u) + (b / u) * (
+            2 * (x1 * x2 - c) - b * (x1 * x1 - v1)
+        )
+        se_db = 10 / math.log(10) * np.std(influence) / math.sqrt(len(x1))
+        assert abs(cond.squeezing_db - truth) <= 5 * se_db
+        assert 5 * se_db < 0.5  # small against the -20*log10(0.8) = 1.94 dB loss offset
 
 
 class TestBootstrap:
