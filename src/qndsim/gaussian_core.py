@@ -75,7 +75,8 @@ class GaussianState:
     per-mode uncertainty bound ``Var(y)*Var(z) - Cov(y,z)^2 >= 1/4`` (within
     tolerances; a NaN fails every test).  The operations below build their
     results with :meth:`_derived`, unchecked: a symplectic map, a loss
-    channel and a Schur complement each keep a valid state valid.
+    channel and a Schur complement each keep a valid state valid, and
+    :func:`coherent_init` is valid by construction.
     """
 
     modes: tuple[ModeLabel, ...]
@@ -119,7 +120,7 @@ class GaussianState:
 
     @classmethod
     def _derived(cls, modes: tuple[ModeLabel, ...], mean: np.ndarray, cov: np.ndarray):
-        """Unchecked state from arrays that an operation on a valid state just computed."""
+        """Unchecked state from arrays valid by construction or computed from a valid state."""
         state = object.__new__(cls)
         state._freeze(modes, mean, cov)
         return state
@@ -170,13 +171,14 @@ def coherent_init(n_pulses: int) -> GaussianState:
     """Product of coherent states: one atom mode plus ``n_pulses`` light pulses.
 
     Zero mean, covariance (1/2)*Identity: every mode sits exactly at the
-    minimum-uncertainty point.
+    minimum-uncertainty point, so the state is valid by construction and
+    built unchecked.
     """
     if n_pulses < 1:
         raise ValueError("need at least one light pulse")
     modes = (ATOM,) + tuple(pulse(i) for i in range(1, n_pulses + 1))
     dim = 2 * len(modes)
-    return GaussianState(modes, np.zeros(dim), COHERENT_VARIANCE * np.eye(dim))
+    return GaussianState._derived(modes, np.zeros(dim), COHERENT_VARIANCE * np.eye(dim))
 
 
 def qnd_map(n_pulses: int, pulse_index: int, kappa: float) -> SymplecticMap:

@@ -459,19 +459,27 @@ def _sweep(spec, stem, modes, point, theory, header, theory_header, check, worke
     SE, model target) tuple feeding both its table columns and ``--check``,
     and its unchecked extra columns: a row is kappa, the estimates, the
     extras, then the SEs.  ``theory(config)`` gives a theory row after kappa.
-    The manifest is written before a :class:`CheckFailure` is raised.
+    Every model runs, and the grid and ``workers`` are checked, before the
+    output directory is created.  The manifest is written before a
+    :class:`CheckFailure` is raised.
     """
-    outdir = _outdir(spec)
     grid = resolve_kappa_grid(spec)
-    data = {}
-    failures = []
+    sweeps = []
     for mode in modes:
-        tag = [mode] if mode else []
         base = replace(spec.sequence, mode=mode or spec.sequence.mode)
         models = [predict(replace(base, kappa_nominal=kappa)) for kappa in grid]
+        sweeps.append((mode, models, run_kappa_sweep(base, grid, workers=workers)))
+    theory_rows = [
+        (k, *theory(replace(spec.sequence, kappa_nominal=float(k)))) for k in _theory_kappas(grid)
+    ]
+    outdir = _outdir(spec)
+    data = {}
+    failures = []
+    for mode, models, runs in sweeps:
+        tag = [mode] if mode else []
         # map drops each run once summarised, before the next is sampled (a loop
         # variable would keep it alive): one run's columns are held at a time
-        points = map(point, run_kappa_sweep(base, grid, workers=workers), models)
+        points = map(point, runs, models)
         rows = []
         for kappa, (statistics, extra) in zip(grid, points):
             _, values, ses, _ = zip(*statistics)
@@ -481,9 +489,6 @@ def _sweep(spec, stem, modes, point, theory, header, theory_header, check, worke
         path = outdir / ("_".join([spec.name, stem, *tag]) + ".csv")
         data[path] = _write_csv(path, header, list(zip(*rows)))
     theory_path = outdir / f"{spec.name}_{stem}_theory.csv"
-    theory_rows = [
-        (k, *theory(replace(spec.sequence, kappa_nominal=float(k)))) for k in _theory_kappas(grid)
-    ]
     theory_files = {theory_path: _write_csv(theory_path, theory_header, list(zip(*theory_rows)))}
     bundle = _emit_manifest(outdir, spec, f"{stem}_sweep", data, theory_files)
     if failures:

@@ -12,7 +12,8 @@ sampling is used, so the draw count per shot is fixed, and the bits depend
 only on the Philox counter function, this module's arithmetic and NumPy's
 float64 ``log`` and ``sqrt`` (the tail branch).  Any partition of the shot
 range into chunks, evaluated in any order or concurrently, therefore
-reproduces the exact same columns bit for bit.
+reproduces the exact same columns bit for bit, and a run need hold only its
+records s1 and s2: the atoms' columns are sampled again when first read.
 
 Per-shot slot layout.  All 8 words are always drawn, so the layout never
 shifts; only the slots a configuration consumes (see :func:`_used_slots`) are
@@ -36,6 +37,7 @@ from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -181,17 +183,19 @@ def predict(config: SequenceConfig) -> Prediction:
 
 @dataclass(frozen=True)
 class RunResult:
-    """One run's shots, column-wise, and its config; no estimator reads jz1, jz2 or kappa_shot."""
+    """One run's records s1 and s2, column-wise, and its config.
+
+    The atoms' hidden truth, jz1, jz2 and kappa_shot, is not held: on first
+    read it is re-derived from the config's Philox windows and cached, so for
+    a run from :func:`run_sequence` it is that run's own atoms, bit for bit.
+    """
 
     config: SequenceConfig
     s1: np.ndarray
     s2: np.ndarray
-    jz1: np.ndarray
-    jz2: np.ndarray
-    kappa_shot: np.ndarray
 
     def __post_init__(self):
-        for name in ("s1", "s2", "jz1", "jz2", "kappa_shot"):
+        for name in ("s1", "s2"):
             col = np.asarray(getattr(self, name), dtype=float)
             if col.shape != (self.config.shots,):
                 raise ValueError(f"column {name} must have length {self.config.shots}")
@@ -200,6 +204,17 @@ class RunResult:
 
     def __len__(self) -> int:
         return self.config.shots
+
+    @cached_property
+    def _atoms(self) -> list[np.ndarray]:
+        cols = _sample(self.config, slice(2, 5), workers=1)
+        for col in cols:
+            col.setflags(write=False)
+        return cols
+
+    jz1 = property(lambda self: self._atoms[0], doc="Atomic z before pulse 1.")
+    jz2 = property(lambda self: self._atoms[1], doc="Atomic z before pulse 2.")
+    kappa_shot = property(lambda self: self._atoms[2], doc="Each shot's coupling.")
 
 
 # Wichura's AS241 (PPND16) coefficients, highest power first (Horner order).
@@ -299,7 +314,7 @@ def _used_slots(config: SequenceConfig) -> list[int]:
 
 
 def _columns_from_uniforms(config: SequenceConfig, u: np.ndarray):
-    """Map an (n, DRAWS_PER_SHOT) uniform block to the five record columns."""
+    """Map an (n, DRAWS_PER_SHOT) uniform block to s1, s2, jz1, jz2 and kappa_shot."""
     slots = _used_slots(config)
     # one transform of the gathered slots; clip exact zeros so AS241 stays finite
     z = dict(zip(slots, ppnd16(np.maximum(u.T[slots], np.finfo(float).tiny))))
@@ -330,19 +345,19 @@ def _check_workers(workers) -> None:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
 
 
-def run_sequence(config: SequenceConfig, workers: int = 1) -> RunResult:
-    """Run all shots of ``config``, each chunk sampled straight into its slice of the columns.
+def _sample(config: SequenceConfig, which: slice, workers: int) -> list[np.ndarray]:
+    """The ``which`` columns of :func:`_columns_from_uniforms` over all shots of ``config``.
 
-    With ``workers`` and the chunk count both above one, a thread pool fills the
+    Each chunk is sampled straight into its slice of the columns.  With
+    ``workers`` and the chunk count both above one, a thread pool fills the
     chunks, else they are filled in turn; the columns are the same either way.
     """
-    _check_workers(workers)
-    cols = [np.empty(config.shots) for _ in range(5)]
+    cols = [np.empty(config.shots) for _ in range(5)[which]]
 
     def fill(start: int) -> None:
         stop = min(start + _CHUNK_SHOTS, config.shots)
         u = window_uniforms(config.seed, start, stop - start)
-        for col, values in zip(cols, _columns_from_uniforms(config, u)):
+        for col, values in zip(cols, _columns_from_uniforms(config, u)[which]):
             col[start:stop] = values
 
     starts = range(0, config.shots, _CHUNK_SHOTS)
@@ -352,7 +367,13 @@ def run_sequence(config: SequenceConfig, workers: int = 1) -> RunResult:
             deque(pool.map(fill, starts), maxlen=0)
     else:
         deque(map(fill, starts), maxlen=0)
-    return RunResult(config, *cols)
+    return cols
+
+
+def run_sequence(config: SequenceConfig, workers: int = 1) -> RunResult:
+    """Run all shots of ``config``, sampling only the records s1 and s2 (see :func:`_sample`)."""
+    _check_workers(workers)
+    return RunResult(config, *_sample(config, slice(0, 2), workers))
 
 
 def _mix64(x: int) -> int:

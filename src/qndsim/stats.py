@@ -11,9 +11,14 @@ gives each row's edges and _pool pools the per-bin variances of centred s2,
 while binned_conditional finds the bins with np.digitize and the bootstrap
 with one sort of s1 per call.  The bootstrap evaluates its resamples in
 blocks of about 2**14 draws, which keeps its arrays in cache and its memory
-flat; every estimator gives one value per row.  Each resample is still drawn
+flat; every estimator gives one value per row.  The index block and the
+sigma_cond block arrays are allocated once per call and refilled, since
+freeing block-sized arrays after every block lets the C allocator trim the
+heap and fault the pages back in for the next.  Each resample is still drawn
 by its own ``integers`` call, so neither the draws nor the intervals depend
-on the block size.  The estimators read only a run's s1, s2 and config.
+on the block size.  The estimators read only a run's s1, s2 and config, and
+binned_conditional holds at most two run-sized temporaries: the bin slot of
+each shot and centred s2, which _pool squares in place.
 """
 
 from __future__ import annotations
@@ -120,16 +125,19 @@ def _pool(slot, centered, spread, n_bins):
 
     ``slot`` holds row * (n_bins + 1) + bin for every shot of every row, with
     bin = n_bins for the shots outside the range; ``centered`` holds the
-    shots' centred s2 in the same order.  Rows before the first zero-spread
-    row are pooled first, so a row with fewer than two usable bins raises
-    ahead of a later zero-spread row.  Returns sigma_cond per row, and the
-    (m, n_bins) counts and variances, NaN in bins too small to use.
+    shots' centred s2 in the same order, and is squared in place.  Rows
+    before the first zero-spread row are pooled first, so a row with fewer
+    than two usable bins raises ahead of a later zero-spread row.  Returns
+    sigma_cond per row, and the (m, n_bins) counts and variances, NaN in
+    bins too small to use.
     """
     m, slots = len(spread), n_bins + 1
-    counts, sums, sq = (
-        np.bincount(slot, weights, minlength=m * slots).reshape(m, slots)[:, :n_bins]
-        for weights in (None, centered, centered * centered)
-    )
+
+    def per_slot(weights):
+        return np.bincount(slot, weights, minlength=m * slots).reshape(m, slots)[:, :n_bins]
+
+    counts, sums = per_slot(None), per_slot(centered)
+    sq = per_slot(np.square(centered, out=centered))  # the caller's scratch copy
     zero = spread == 0.0
     end = int(zero.argmax()) if zero.any() else m
     usable = counts[:end] >= MIN_BIN_COUNT
@@ -163,6 +171,7 @@ def binned_conditional(data: RunResult, n_bins: int = DEFAULT_BINS) -> Condition
     s1, s2 = data.s1, data.s2
     if len(s1) < 2 * MIN_BIN_COUNT:
         raise InsufficientDataError("need at least four shots to bin")
+    total = float(_var(s2)) - 0.5  # before the run-sized slot and centred s2 exist
     (edges,), spread = _edges(s1[None], n_bins)
     slot = np.digitize(s1, edges) - 1
     slot[s1 == edges[-1]] = n_bins - 1  # keep the inclusive upper boundary
@@ -173,7 +182,6 @@ def binned_conditional(data: RunResult, n_bins: int = DEFAULT_BINS) -> Condition
     c = counts[counts >= MIN_BIN_COUNT].astype(float)
     # per-bin Var(variance) ~ 2*sigma^4/(n_b - 1), pooled sigma^4.
     se = float(sigma_cond * math.sqrt(2.0 * np.sum(c**2 / (c - 1.0))) / c.sum())
-    total = float(_var(s2)) - 0.5
     db = squeezing_db(total, sigma_cond - 0.5) if data.config.kappa_nominal else math.nan
     return ConditionalResult(
         sigma_cond=sigma_cond,
@@ -219,21 +227,28 @@ def _sigma_cond_rows(s1, s2):
     # a row's slots: its bins, then one dummy for the shots below and above the range
     slots = n_bins + 1
     segment_slot = np.r_[n_bins, np.arange(n_bins), n_bins]
+    scratch = {}
 
     def rows(idx):
         m = len(idx)
-        edges, spread = _edges(s1.take(idx), n_bins)
+        if m not in scratch:  # one set per block size, refilled by every block
+            scratch[m] = np.empty((m, n)), np.empty((m, n), np.intp), np.empty((m, n), np.intp)
+        x, pos, slot = scratch[m]
+        # indices are in range by construction; mode "clip" lets take fill
+        # ``out`` directly, where the default mode would allocate a copy
+        edges, spread = _edges(s1.take(idx, out=x, mode="clip"), n_bins)
         bounds = np.empty((m, n_bins + 3), dtype=np.intp)
         bounds[:, 0], bounds[:, -1] = 0, n
         bounds[:, 1:-1] = np.searchsorted(ranked, edges, side="left")
         bounds[:, -2] = np.searchsorted(ranked, edges[:, -1], side="right")
         # label[r * n + p]: the slot of sorted position p in row r
         label = np.repeat(segment_slot + slots * np.arange(m)[:, None], np.diff(bounds).ravel())
-        pos = rank.take(idx)
+        rank.take(idx, out=pos, mode="clip")
         pos += n * np.arange(m)[:, None]
-        centered = s2.take(idx)
+        label.take(pos, out=slot, mode="clip")
+        centered = s2.take(idx, out=x, mode="clip")
         centered -= centered.mean(axis=1, keepdims=True)
-        return _pool(label.take(pos).ravel(), centered.ravel(), spread, n_bins)[0]
+        return _pool(slot.ravel(), centered.ravel(), spread, n_bins)[0]
 
     return rows
 
@@ -272,10 +287,10 @@ def bootstrap_ci(
     Estimator names: sigma1, sigma2, sigma_plus, sigma_minus, sigma_cond,
     conditioning_gain.  Deterministic for a given seed (single Philox stream,
     the same generator family as the sampler).  Resamples are drawn one row
-    at a time, ``rng.integers(0, n, size=n)``, and evaluated in blocks of
-    max(1, BLOCK_DRAWS // n) rows; sigma_cond and conditioning_gain sort s1
-    once per call.  Neither the block size nor the sort changes a draw or a
-    value.
+    at a time, ``rng.integers(0, n, size=n)``, into one index block of
+    max(1, BLOCK_DRAWS // n) rows that every block refills; sigma_cond and
+    conditioning_gain sort s1 once per call.  Neither the block size nor the
+    sort changes a draw or a value.
     """
     if estimator not in _ESTIMATORS:
         raise ValueError(
@@ -293,9 +308,12 @@ def bootstrap_ci(
     rng = Generator(Philox(key=seed))
     values = np.empty(resamples)
     rows = max(1, BLOCK_DRAWS // n)
+    block = np.empty((rows, n), dtype=np.int64)
     for start in range(0, resamples, rows):
         stop = min(start + rows, resamples)
-        idx = np.array([rng.integers(0, n, size=n) for _ in range(start, stop)])
+        idx = block[: stop - start]
+        for row in idx:
+            row[:] = rng.integers(0, n, size=n)
         values[start:stop] = estimate(idx)
     alpha = (1.0 - level) / 2.0
     return float(np.quantile(values, alpha)), float(np.quantile(values, 1.0 - alpha))

@@ -273,15 +273,28 @@ class TestStateValidation:
                     array[0] = 1.0
 
     def test_only_built_states_are_validated(self, monkeypatch):
-        # apply_map, apply_loss and condition_on keep a valid state valid, so a
-        # model run validates only the coherent state it starts from
+        # the coherent state is valid by construction, and apply_map,
+        # apply_loss and condition_on keep a valid state valid, so a model run
+        # validates no state
         checked = []
         validate = GaussianState.__post_init__
         monkeypatch.setattr(
             GaussianState, "__post_init__", lambda self: checked.append(validate(self))
         )
         predict(SequenceConfig(mode="reinit", kappa_nominal=0.62, shots=10, eta=0.8))
-        assert len(checked) == 1
+        assert len(checked) == 0
+
+    def test_predict_needs_no_eigvalsh(self, monkeypatch):
+        # the positive-semidefinite check is the one LAPACK call of validation;
+        # a model run makes none, while a state a user builds still does
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
+        model = predict(SequenceConfig(mode="qnd", kappa_nominal=0.62, shots=10))
+        assert model.var1 == pytest.approx((1 + 0.62**2) / 2, abs=1e-12)
+        with pytest.raises(AssertionError, match="eigvalsh called"):
+            GaussianState((ATOM,), np.zeros(2), 0.5 * np.eye(2))
 
     def test_non_symplectic_matrix_rejected(self):
         for bad in (2.0 * np.eye(4), np.full((2, 2), np.nan)):

@@ -170,10 +170,11 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory_is_one_copy_of_the_columns(self, workers):
-        # chunks fill the run's columns in place: no per-chunk list and no
-        # concatenated second copy (400k shots keeps chunk temporaries small)
+        # chunks fill the run's two record columns in place: no per-chunk
+        # list, no concatenated second copy and no atoms' columns (400k shots
+        # keeps chunk temporaries small)
         config = cfg(shots=400_000)
-        column_bytes = 5 * 8 * config.shots
+        column_bytes = 8 * config.shots
         gc.collect()
         tracemalloc.start()
         try:
@@ -181,7 +182,24 @@ class TestDeterminism:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * column_bytes
+        assert peak <= 3.5 * column_bytes
+
+    def test_atoms_are_rederived_bit_for_bit(self):
+        # the run (three chunks) holds only s1 and s2; jz1, jz2 and kappa_shot
+        # come back from the run's own windows on first read, equal to an
+        # eager rebuild of all 20000 shots as one block
+        config = cfg(mode="reinit", eta=0.9, atom_fluctuation=True, spin_rel_std=0.07,
+                     shots=20000)
+        run = run_sequence(config)
+        assert set(vars(run)) == {"config", "s1", "s2"}
+        eager = _columns_from_uniforms(config, window_uniforms(SEED, 0, 20000))
+        for name, column in zip(("s1", "s2", "jz1", "jz2", "kappa_shot"), eager):
+            value = getattr(run, name)
+            assert np.array_equal(value, column)
+            assert not value.flags.writeable
+            with pytest.raises(AttributeError):
+                setattr(run, name, column)
+        assert run.jz1 is run.jz1  # derived once, then cached
 
     @pytest.mark.parametrize("k", [2, 8191, 8193, 16385])
     def test_prefix_matches_shorter_run(self, k):
@@ -373,8 +391,7 @@ class TestEstimatorConsistency:
 class TestSerialization:
     def test_result_validates_columns(self):
         with pytest.raises(ValueError):
-            RunResult(cfg(shots=3), np.zeros(2), np.zeros(3), np.zeros(3),
-                      np.zeros(3), np.zeros(3))
+            RunResult(cfg(shots=3), np.zeros(2), np.zeros(3))
 
 
 def loss(var, eta):

@@ -40,11 +40,9 @@ def run(**kwargs):
 
 
 def columns(s1, s2, kappa=0.0):
-    """A RunResult carrying the given s1, s2 columns and a constant coupling."""
-    n = len(s1)
-    latent = np.zeros(n)
-    config = SequenceConfig(mode="qnd", kappa_nominal=kappa, shots=n)
-    return RunResult(config, s1, s2, latent, latent, np.full(n, kappa))
+    """A RunResult carrying the given s1, s2 columns and a coupling in its config."""
+    config = SequenceConfig(mode="qnd", kappa_nominal=kappa, shots=len(s1))
+    return RunResult(config, s1, s2)
 
 
 def noise_run(n, seed=0, var=0.5):
@@ -146,7 +144,8 @@ class TestBinnedConditional:
             binned_conditional(noise_run(40), n_bins=n_bins)
 
     def test_peak_memory(self):
-        # one bin slot per shot, centred s2 and its square: no masked copies
+        # one bin slot per shot and centred s2, squared in place: no masked
+        # copies, and Var(s2) is taken before either exists
         data = noise_run(400_000)
         gc.collect()
         tracemalloc.start()
@@ -155,7 +154,7 @@ class TestBinnedConditional:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * data.s1.nbytes
+        assert peak <= 2.5 * data.s1.nbytes
 
 
 class TestExactConditional:
@@ -321,6 +320,25 @@ class TestBootstrap:
             assert (cond.bin_edges[0], cond.bin_edges[-1]) == (-2.5, 2.5)
             assert cond.per_bin[0][0] == cond.per_bin[-1][0] == 2
             assert value == cond.sigma_cond
+
+    def test_sigma_cond_blocks_refill_their_scratch(self):
+        # after the first block, a block of the same size allocates only the
+        # std temporary and the bin labels: fresh block-sized arrays in every
+        # block let the allocator trim and re-fault the heap top each block
+        rng = Generator(Philox(key=5))
+        s1, s2 = rng.normal(size=(2, 2600))
+        idx = rng.integers(0, 2600, size=(6, 2600))
+        rows = stats._ESTIMATORS["sigma_cond"](s1, s2)
+        first = rows(idx)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            again = rows(idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(first, again)
+        assert peak <= 2.0 * idx.nbytes
 
 
 class TestFigureThreeCProperty:
