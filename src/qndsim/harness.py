@@ -45,7 +45,9 @@ from pathlib import Path
 import numpy as np
 
 from . import stats
-from .montecarlo import SequenceConfig, predict, run_kappa_sweep, run_sequence, sweep_seed
+from .montecarlo import (
+    SequenceConfig, _check_workers, predict, run_kappa_sweep, run_sequence, sweep_seed
+)
 from .physics import (
     SheetError,
     coupling_strength,
@@ -410,6 +412,7 @@ def cmd_joint(spec: ExperimentSpec, workers: int = 1) -> FigureBundle:
     }
     for cfg in panels.values():  # a config the model cannot take raises before any file
         predict(cfg)
+    _check_workers(workers)  # and so does a bad ``workers``
     outdir = _outdir(spec)
     data = {}
     summary = {"config": asdict(seq), "panels": {}}

@@ -6,19 +6,19 @@ so every estimator reads 1/2 at the shot-noise floor.  Standard errors use the
 Gaussian fourth-moment formula Var(sample variance) = 2*sigma^4/(n-1); the
 bootstrap is available as an independent cross-check.
 
-The binned conditional variance is one pipeline with two bin lookups: _edges
-gives each row's edges and _pool pools the per-bin variances of centred s2,
-while binned_conditional finds the bins with np.digitize and the bootstrap
-with one sort of s1 per call.  The bootstrap evaluates its resamples in
-blocks of about 2**14 draws, which keeps its arrays in cache and its memory
-flat; every estimator gives one value per row.  The index block and the
-sigma_cond block arrays are allocated once per call and refilled, since
-freeing block-sized arrays after every block lets the C allocator trim the
-heap and fault the pages back in for the next.  Each resample is still drawn
-by its own ``integers`` call, so neither the draws nor the intervals depend
-on the block size.  The estimators read only a run's s1, s2 and config, and
-binned_conditional holds at most two run-sized temporaries: the bin slot of
-each shot and centred s2, which _pool squares in place.
+The binned conditional variance is one pipeline, _binned: it bins each row
+of a block of shots by arithmetic on the row's own range, and _pool pools
+the per-bin variances of centred s2.  binned_conditional runs it on the run
+as one row, the bootstrap's sigma_cond on each block of resamples, which
+holds about 2**14 draws, so its arrays stay in cache and its memory flat.
+The index block and the sigma_cond block buffers are allocated once per
+call and refilled, since freeing block-sized arrays after every block lets
+the C allocator trim the heap and fault the pages back in for the next.
+Each resample is drawn by its own ``integers`` call, so neither the draws
+nor the intervals depend on the block size.  The estimators read only a
+run's s1, s2 and config, and binned_conditional holds at most two run-sized
+temporaries: a copy of s1, binned in place and then refilled with centred
+s2 for _pool to square in place, and the bin slot of each shot.
 """
 
 from __future__ import annotations
@@ -111,25 +111,16 @@ def variances(data: RunResult) -> VarianceSummary:
     )
 
 
-def _edges(x, n_bins):
-    """Edges mean +/- HALF_RANGE_SIGMAS sd of each row of an (m, n) block, and each row's sd."""
-    center, spread = x.mean(axis=1), x.std(axis=1, ddof=1)
-    # zero-spread rows raise in _pool; a stand-in keeps np.linspace on the
-    # path that it takes for rows with nonzero spread
-    half = HALF_RANGE_SIGMAS * np.where(spread == 0.0, 1.0, spread)
-    return np.linspace(center - half, center + half, n_bins + 1, axis=1), spread
-
-
 def _pool(slot, centered, spread, n_bins):
     """Count-weighted mean of the per-bin variances of centred s2, one value per row.
 
-    ``slot`` holds row * (n_bins + 1) + bin for every shot of every row, with
-    bin = n_bins for the shots outside the range; ``centered`` holds the
-    shots' centred s2 in the same order, and is squared in place.  Rows
-    before the first zero-spread row are pooled first, so a row with fewer
-    than two usable bins raises ahead of a later zero-spread row.  Returns
-    sigma_cond per row, and the (m, n_bins) counts and variances, NaN in
-    bins too small to use.
+    ``slot`` holds row * (n_bins + 1) + bin for every shot of every row, as
+    _binned lays it out, with bin = n_bins for the shots outside the range;
+    ``centered`` holds the shots' centred s2 in the same order, and is
+    squared in place.  Rows before the first zero-spread row are pooled
+    first, so a row with fewer than two usable bins raises ahead of a later
+    zero-spread row.  Returns sigma_cond per row, and the (m, n_bins) counts
+    and variances, NaN in bins too small to use.
     """
     m, slots = len(spread), n_bins + 1
 
@@ -157,6 +148,32 @@ def _pool(slot, centered, spread, n_bins):
     return np.array(sums_per_row) / (counts * usable).sum(axis=1), counts, var
 
 
+def _binned(x, y, n_bins):
+    """Bin each row of an (m, n) block of s1 shots ``x`` and pool the s2 shots ``y``.
+
+    A row's range is lo = mean - half to hi = mean + half, half =
+    HALF_RANGE_SIGMAS sd.  A shot with lo <= x <= hi is in bin
+    floor((x - lo) * n_bins / (2 * half)), clamped to n_bins - 1; any other,
+    NaN included, goes to the dummy slot before the integer cast.  ``x`` is
+    scratch: binned in place, then refilled with centred y.  Returns _pool's
+    three values and the rows' lo and hi, as (m, 1) columns.
+    """
+    center, spread = x.mean(axis=1, keepdims=True), x.std(axis=1, ddof=1, keepdims=True)
+    # a zero-spread row raises in _pool; the stand-in keeps n_bins / (2 * half) finite
+    half = HALF_RANGE_SIGMAS * np.where(spread == 0.0, 1.0, spread)
+    lo, hi = center - half, center + half
+    inside = (lo <= x) & (x <= hi)
+    x -= lo
+    x *= n_bins / (2.0 * half)
+    np.minimum(x, n_bins - 1, out=x)  # x == hi, and a product rounded up to n_bins
+    x[~inside] = n_bins
+    del inside  # freed before the run-sized slots exist
+    slot = x.astype(np.intp)  # every value lies in [0, n_bins], so this is floor
+    slot += (n_bins + 1) * np.arange(len(x))[:, None]
+    np.subtract(y, y.mean(axis=1, keepdims=True), out=x)  # improves the single-pass cancellation
+    return (*_pool(slot.ravel(), x.ravel(), spread.ravel(), n_bins), lo, hi)
+
+
 def binned_conditional(data: RunResult, n_bins: int = DEFAULT_BINS) -> ConditionalResult:
     """Conditional variance of s2 from equal-width bins of s1.
 
@@ -164,29 +181,26 @@ def binned_conditional(data: RunResult, n_bins: int = DEFAULT_BINS) -> Condition
     excluded.  sigma_cond averages the per-bin variances of s2 over bins with
     at least two shots, weighted by bin count.  squeezing_db is
     :func:`squeezing_db` of Var(s2) - 1/2 and sigma_cond - 1/2, and NaN at
-    zero nominal coupling, where it is undefined.
+    zero nominal coupling and in the z basis, where no atomic signal reaches
+    s2 and the ratio is one of two noise terms.
     """
     if not is_positive_int(n_bins):
         raise ValueError(f"n_bins must be a positive integer, got {n_bins!r}")
     s1, s2 = data.s1, data.s2
     if len(s1) < 2 * MIN_BIN_COUNT:
         raise InsufficientDataError("need at least four shots to bin")
-    total = float(_var(s2)) - 0.5  # before the run-sized slot and centred s2 exist
-    (edges,), spread = _edges(s1[None], n_bins)
-    slot = np.digitize(s1, edges) - 1
-    slot[s1 == edges[-1]] = n_bins - 1  # keep the inclusive upper boundary
-    slot[slot < 0] = n_bins  # below the range: the dummy slot, as above it
-    centered = s2 - s2.mean()  # improves the single-pass cancellation
-    sigma, (counts,), (bin_var,) = _pool(slot, centered, spread, n_bins)
+    total = float(_var(s2)) - 0.5  # before the run-sized scratch and slots exist
+    sigma, (counts,), (bin_var,), lo, hi = _binned(s1.copy()[None], s2[None], n_bins)
     sigma_cond = float(sigma[0])
     c = counts[counts >= MIN_BIN_COUNT].astype(float)
     # per-bin Var(variance) ~ 2*sigma^4/(n_b - 1), pooled sigma^4.
     se = float(sigma_cond * math.sqrt(2.0 * np.sum(c**2 / (c - 1.0))) / c.sum())
-    db = squeezing_db(total, sigma_cond - 0.5) if data.config.kappa_nominal else math.nan
+    coupled = data.config.kappa_nominal and data.config.basis != "z"
+    db = squeezing_db(total, sigma_cond - 0.5) if coupled else math.nan
     return ConditionalResult(
         sigma_cond=sigma_cond,
         n_bins=n_bins,
-        bin_edges=tuple(edges.tolist()),
+        bin_edges=tuple(np.linspace(lo.item(), hi.item(), n_bins + 1).tolist()),
         per_bin=tuple(
             (int(c), float(v)) for c, v in zip(counts.tolist(), bin_var.tolist())
         ),
@@ -213,42 +227,22 @@ def squeezing_db(total_excess: float, conditional_excess: float) -> float:
 def _sigma_cond_rows(s1, s2):
     """sigma_cond of each row of a block of resample indices, as binned_conditional gives it.
 
-    Only the bin lookup differs from binned_conditional: s1 is sorted once,
-    and a row's shots take the bin of their rank, found by locating the
-    row's edges in the sorted s1 with the comparisons of np.digitize
-    (edges[k] <= x < edges[k+1], and x == edges[-1] in the top bin).  The
-    edges, centring and pooling are the shared _edges and _pool.
+    A block's s1 and s2 are gathered into two block buffers, allocated at the
+    first (largest) block and refilled by every later one, and binned by
+    _binned, the function that bins binned_conditional's single row.
     """
-    n, n_bins = len(s1), DEFAULT_BINS
-    order = np.argsort(s1, kind="stable")
-    ranked = s1[order]
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    # a row's slots: its bins, then one dummy for the shots below and above the range
-    slots = n_bins + 1
-    segment_slot = np.r_[n_bins, np.arange(n_bins), n_bins]
-    scratch = {}
+    x = y = np.empty((0, len(s1)))
 
     def rows(idx):
+        nonlocal x, y
         m = len(idx)
-        if m not in scratch:  # one set per block size, refilled by every block
-            scratch[m] = np.empty((m, n)), np.empty((m, n), np.intp), np.empty((m, n), np.intp)
-        x, pos, slot = scratch[m]
+        if len(x) < m:
+            x, y = np.empty(idx.shape), np.empty(idx.shape)
         # indices are in range by construction; mode "clip" lets take fill
         # ``out`` directly, where the default mode would allocate a copy
-        edges, spread = _edges(s1.take(idx, out=x, mode="clip"), n_bins)
-        bounds = np.empty((m, n_bins + 3), dtype=np.intp)
-        bounds[:, 0], bounds[:, -1] = 0, n
-        bounds[:, 1:-1] = np.searchsorted(ranked, edges, side="left")
-        bounds[:, -2] = np.searchsorted(ranked, edges[:, -1], side="right")
-        # label[r * n + p]: the slot of sorted position p in row r
-        label = np.repeat(segment_slot + slots * np.arange(m)[:, None], np.diff(bounds).ravel())
-        rank.take(idx, out=pos, mode="clip")
-        pos += n * np.arange(m)[:, None]
-        label.take(pos, out=slot, mode="clip")
-        centered = s2.take(idx, out=x, mode="clip")
-        centered -= centered.mean(axis=1, keepdims=True)
-        return _pool(slot.ravel(), centered.ravel(), spread, n_bins)[0]
+        s1.take(idx, out=x[:m], mode="clip")
+        s2.take(idx, out=y[:m], mode="clip")
+        return _binned(x[:m], y[:m], DEFAULT_BINS)[0]
 
     return rows
 
@@ -289,8 +283,8 @@ def bootstrap_ci(
     the same generator family as the sampler).  Resamples are drawn one row
     at a time, ``rng.integers(0, n, size=n)``, into one index block of
     max(1, BLOCK_DRAWS // n) rows that every block refills; sigma_cond and
-    conditioning_gain sort s1 once per call.  Neither the block size nor the
-    sort changes a draw or a value.
+    conditioning_gain bin each block as binned_conditional bins the run.
+    The block size changes no draw and no value.
     """
     if estimator not in _ESTIMATORS:
         raise ValueError(

@@ -525,6 +525,7 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert err == f"error: workers must be a positive integer, got {workers}\n"
         assert list((tmp_path / "out").glob("*")) == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["joint", "sweep", "conditional"])
     def test_overflowing_kappa_exit_2_before_sampling(self, tmp_path, monkeypatch, capsys, command):

@@ -3,6 +3,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -142,6 +143,68 @@ class TestBinnedConditional:
     def test_n_bins_must_be_a_positive_integer(self, n_bins):
         with pytest.raises(ValueError, match="n_bins must be a positive integer"):
             binned_conditional(noise_run(40), n_bins=n_bins)
+
+    def test_z_basis_squeezing_is_nan(self):
+        # no atomic signal reaches a z-basis record, so Var(s2) - 1/2 is noise;
+        # the model's own z-basis total excess is zero, and its dB NaN
+        for mode in ("qnd", "reinit"):
+            for kappa in (0.3, 1.0):
+                result = run(mode=mode, basis="z", kappa_nominal=kappa)
+                assert math.isnan(binned_conditional(result).squeezing_db)
+                assert predict(result.config).var2 == 0.5
+
+    def test_nan_s1_is_insufficient_data(self):
+        # a row with a NaN shot has NaN ends, so every shot leaves the range;
+        # NaN must reach the dummy slot before the cast to an integer slot,
+        # which warns on NaN
+        rng = Generator(Philox(key=7))
+        s1, s2 = rng.normal(size=(2, 50))
+        s1[::2] = np.nan  # every resample of 50 draws meets one
+        data = columns(s1, s2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientDataError, match="fewer than two usable bins"):
+                binned_conditional(data)
+            for estimator in ("sigma_cond", "conditioning_gain"):
+                with pytest.raises(InsufficientDataError, match="fewer than two usable bins"):
+                    bootstrap_ci(data, estimator, resamples=20)
+
+    def test_bins_match_digitize_on_linspace_edges(self, monkeypatch):
+        # reference: np.digitize on np.linspace(mean -/+ 2.5 sd) edges, the top
+        # edge inclusive, shots outside the range in the dummy slot n_bins;
+        # _pool is stubbed to catch the slots that _binned hands it
+        n_bins = stats.DEFAULT_BINS
+        rng = Generator(Philox(key=8))
+
+        def shifted(m, n):
+            loc = rng.normal(size=(m, 1)) * 10.0 ** rng.integers(-2, 4, size=(m, 1))
+            return loc + 10.0 ** rng.uniform(-3.0, 3.0, size=(m, 1)) * rng.normal(size=(m, n))
+
+        # mean 0 or 1 and sd 1 exactly, scaled by powers of two: two shots
+        # sit on each end of the range
+        edge_row = np.array([2.5, 2.5, -2.5, -2.5] + [0.5] * 14 + [-0.5] * 14 + [0.0])
+        scales = 2.0 ** np.arange(-20, 21)[:, None]
+        blocks = [shifted(400, 2500), shifted(10_000, 4), edge_row * scales, (edge_row + 1) * scales]
+        slots = []
+        monkeypatch.setattr(stats, "_pool", lambda slot, *args: slots.append(slot) or (None,) * 3)
+        mismatched = near_edge = 0
+        for x in blocks:
+            stats._binned(x.copy(), np.zeros_like(x), n_bins)
+            got = (slots.pop() % (n_bins + 1)).reshape(x.shape)
+            center, spread = x.mean(axis=1), x.std(axis=1, ddof=1)
+            half = stats.HALF_RANGE_SIGMAS * spread
+            edges = np.linspace(center - half, center + half, n_bins + 1, axis=1)
+            for row, e, slot in zip(x, edges, got):
+                ref = np.digitize(row, e) - 1
+                ref[row == e[-1]] = n_bins - 1
+                ref[ref < 0] = n_bins
+                wrong = row[ref != slot]
+                gap = np.abs(wrong[:, None] - e[1:-1]) / np.spacing(np.abs(e[1:-1]))
+                mismatched += len(wrong)
+                near_edge += int((gap.min(axis=1, initial=np.inf) <= 4.0).sum())
+        assert sum(x.size for x in blocks) >= 10**6
+        assert mismatched == near_edge  # any difference is a shot on an interior edge
+        assert near_edge == 0  # and random data holds none
 
     def test_peak_memory(self):
         # one bin slot per shot and centred s2, squared in place: no masked
