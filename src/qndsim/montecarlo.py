@@ -181,10 +181,13 @@ def predict(config: SequenceConfig) -> Prediction:
         ) from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
     """One run's records s1 and s2, column-wise, and its config.
 
+    A run is compared and hashed by identity, and its columns are finite and
+    read-only: a column that owns its data is frozen in place, a view of
+    another array is copied, so nothing can change a run once it exists.
     The atoms' hidden truth, jz1, jz2 and kappa_shot, is not held: on first
     read it is re-derived from the config's Philox windows and cached, so for
     a run from :func:`run_sequence` it is that run's own atoms, bit for bit.
@@ -199,6 +202,12 @@ class RunResult:
             col = np.asarray(getattr(self, name), dtype=float)
             if col.shape != (self.config.shots,):
                 raise ValueError(f"column {name} must have length {self.config.shots}")
+            with np.errstate(invalid="ignore"):  # min and max propagate NaN
+                finite = np.isfinite(col.min()) and np.isfinite(col.max())
+            if not finite:
+                raise ValueError(f"column {name} holds a non-finite value")
+            if col.base is not None:  # a view: its base may still be written
+                col = col.copy()
             col.setflags(write=False)
             object.__setattr__(self, name, col)
 

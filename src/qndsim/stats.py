@@ -8,22 +8,37 @@ bootstrap is available as an independent cross-check.
 
 The binned conditional variance is one pipeline, _binned: it bins each row
 of a block of shots by arithmetic on the row's own range, and _pool pools
-the per-bin variances of centred s2.  binned_conditional runs it on the run
-as one row, the bootstrap's sigma_cond on each block of resamples, which
-holds about 2**14 draws, so its arrays stay in cache and its memory flat.
-The index block and the sigma_cond block buffers are allocated once per
-call and refilled, since freeing block-sized arrays after every block lets
-the C allocator trim the heap and fault the pages back in for the next.
-Each resample is drawn by its own ``integers`` call, so neither the draws
-nor the intervals depend on the block size.  The estimators read only a
-run's s1, s2 and config, and binned_conditional holds at most two run-sized
-temporaries: a copy of s1, binned in place and then refilled with centred
-s2 for _pool to square in place, and the bin slot of each shot.
+the per-bin variances of centred s2.  On its way _binned takes each row's
+variances of s1 and s2, bit for bit those of the variance estimators.
+binned_conditional runs it on the run as one row, the bootstrap on each
+block of resamples, which holds about 2**14 draws, so its arrays stay in
+cache and its memory flat.
+
+Bootstrap draw rule: each block's index rows come from one ``integers``
+call, which draws exactly what one call per row would, since the spare
+half of a 64-bit Philox word is kept in the generator's state, not in the
+call.  So neither the draws nor the intervals depend on the block size.
+The sigma_cond block buffers are allocated once per call and refilled,
+since freeing block-sized arrays after every block lets the C allocator
+trim the heap and fault the pages back in for the next.
+
+Bootstrap memo rule: one pass per run, seed and resample count.  Each
+estimator has a pass of its own, and the binned pass of sigma_cond or
+conditioning_gain also gives sigma1, sigma2 and the other of the two.
+bootstrap_ci keeps the values of every pass on the run, for its latest
+(seed, resamples), in a table that lives and dies with the run, so a later
+interval of any estimator in it, at any level, is two quantiles.
+
+The estimators read only a run's s1, s2 and config, and binned_conditional
+holds at most two run-sized temporaries: a copy of s1, binned in place and
+then refilled with centred s2 for _pool to square in place, and the bin
+slot of each shot.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -155,10 +170,12 @@ def _binned(x, y, n_bins):
     HALF_RANGE_SIGMAS sd.  A shot with lo <= x <= hi is in bin
     floor((x - lo) * n_bins / (2 * half)), clamped to n_bins - 1; any other,
     NaN included, goes to the dummy slot before the integer cast.  ``x`` is
-    scratch: binned in place, then refilled with centred y.  Returns _pool's
-    three values and the rows' lo and hi, as (m, 1) columns.
+    scratch: binned in place, then refilled with centred y.  Returns each
+    row's Bessel-corrected variances of x and y, as np.var gives them,
+    _pool's three values, and the rows' lo and hi as (m, 1) columns.
     """
-    center, spread = x.mean(axis=1, keepdims=True), x.std(axis=1, ddof=1, keepdims=True)
+    center, var_x = x.mean(axis=1, keepdims=True), x.var(axis=1, ddof=1, keepdims=True)
+    spread = np.sqrt(var_x)  # what x.std computes
     # a zero-spread row raises in _pool; the stand-in keeps n_bins / (2 * half) finite
     half = HALF_RANGE_SIGMAS * np.where(spread == 0.0, 1.0, spread)
     lo, hi = center - half, center + half
@@ -171,7 +188,9 @@ def _binned(x, y, n_bins):
     slot = x.astype(np.intp)  # every value lies in [0, n_bins], so this is floor
     slot += (n_bins + 1) * np.arange(len(x))[:, None]
     np.subtract(y, y.mean(axis=1, keepdims=True), out=x)  # improves the single-pass cancellation
-    return (*_pool(slot.ravel(), x.ravel(), spread.ravel(), n_bins), lo, hi)
+    pooled = _pool(slot.ravel(), x.ravel(), spread.ravel(), n_bins)
+    var_y = x.sum(axis=1) / (x.shape[1] - 1)  # _pool squared x in place, as np.var does
+    return (var_x.ravel(), var_y, *pooled, lo, hi)
 
 
 def binned_conditional(data: RunResult, n_bins: int = DEFAULT_BINS) -> ConditionalResult:
@@ -189,9 +208,10 @@ def binned_conditional(data: RunResult, n_bins: int = DEFAULT_BINS) -> Condition
     s1, s2 = data.s1, data.s2
     if len(s1) < 2 * MIN_BIN_COUNT:
         raise InsufficientDataError("need at least four shots to bin")
-    total = float(_var(s2)) - 0.5  # before the run-sized scratch and slots exist
-    sigma, (counts,), (bin_var,), lo, hi = _binned(s1.copy()[None], s2[None], n_bins)
-    sigma_cond = float(sigma[0])
+    _, (var2,), (sigma_cond,), (counts,), (bin_var,), lo, hi = _binned(
+        s1.copy()[None], s2[None], n_bins
+    )
+    total, sigma_cond = float(var2) - 0.5, float(sigma_cond)
     c = counts[counts >= MIN_BIN_COUNT].astype(float)
     # per-bin Var(variance) ~ 2*sigma^4/(n_b - 1), pooled sigma^4.
     se = float(sigma_cond * math.sqrt(2.0 * np.sum(c**2 / (c - 1.0))) / c.sum())
@@ -224,8 +244,8 @@ def squeezing_db(total_excess: float, conditional_excess: float) -> float:
     return 10.0 * math.log10(total_excess / conditional_excess)
 
 
-def _sigma_cond_rows(s1, s2):
-    """sigma_cond of each row of a block of resample indices, as binned_conditional gives it.
+def _binned_rows(s1, s2):
+    """sigma1, sigma2, sigma_cond and conditioning_gain of each row of a block of resample indices.
 
     A block's s1 and s2 are gathered into two block buffers, allocated at the
     first (largest) block and refilled by every later one, and binned by
@@ -242,31 +262,39 @@ def _sigma_cond_rows(s1, s2):
         # ``out`` directly, where the default mode would allocate a copy
         s1.take(idx, out=x[:m], mode="clip")
         s2.take(idx, out=y[:m], mode="clip")
-        return _binned(x[:m], y[:m], DEFAULT_BINS)[0]
+        var1, var2, sigma_cond = _binned(x[:m], y[:m], DEFAULT_BINS)[:3]
+        return {
+            "sigma1": var1,
+            "sigma2": var2,
+            "sigma_cond": sigma_cond,
+            "conditioning_gain": var2 - sigma_cond,
+        }
 
     return rows
 
 
-def _gain_rows(s1, s2):
-    sigma_cond = _sigma_cond_rows(s1, s2)
-    return lambda idx: _var(s2.take(idx)) - sigma_cond(idx)
+def _variance_rows(name):
+    column, divisor = _VARIANCES[name]
 
-
-def _variance_rows(column, divisor):
     def prepare(s1, s2):
         x = column(s1, s2)  # formed once per call; the rows gather from it
-        return lambda idx: _var(x.take(idx)) / divisor
+        return lambda idx: {name: _var(x.take(idx)) / divisor}
 
     return prepare
 
 
-# The bootstrap estimators.  Each takes the data columns and returns a function
-# of a block of resample index rows that gives one value per row.
+# The bootstrap passes, one per estimator name.  Each takes the data columns
+# and returns a function of a block of resample index rows that gives, for
+# every estimator the pass serves, one value per row.
 _ESTIMATORS = {
-    **{name: _variance_rows(*spec) for name, spec in _VARIANCES.items()},
-    "sigma_cond": _sigma_cond_rows,
-    "conditioning_gain": _gain_rows,
+    **{name: _variance_rows(name) for name in _VARIANCES},
+    "sigma_cond": _binned_rows,
+    "conditioning_gain": _binned_rows,
 }
+
+# Each run's resample values: its latest (seed, resamples) and a table of
+# estimator name -> values.  An entry goes when its run is collected.
+_TABLES = weakref.WeakKeyDictionary()
 
 
 def bootstrap_ci(
@@ -280,11 +308,15 @@ def bootstrap_ci(
 
     Estimator names: sigma1, sigma2, sigma_plus, sigma_minus, sigma_cond,
     conditioning_gain.  Deterministic for a given seed (single Philox stream,
-    the same generator family as the sampler).  Resamples are drawn one row
-    at a time, ``rng.integers(0, n, size=n)``, into one index block of
-    max(1, BLOCK_DRAWS // n) rows that every block refills; sigma_cond and
-    conditioning_gain bin each block as binned_conditional bins the run.
-    The block size changes no draw and no value.
+    the same generator family as the sampler).  Each block of
+    max(1, BLOCK_DRAWS // n) resamples is drawn by one
+    ``rng.integers(0, n, size=(rows, n))`` call, the same draws as one call
+    per row, so the block size changes no draw and no value.  sigma_cond and
+    conditioning_gain bin each block as binned_conditional bins the run, and
+    that pass also gives sigma1 and sigma2.  The values of each pass are
+    kept on the run for its latest seed and resamples and go with the run,
+    so asking again for any estimator they hold, at any level, draws
+    nothing.
     """
     if estimator not in _ESTIMATORS:
         raise ValueError(
@@ -298,16 +330,20 @@ def bootstrap_ci(
     n = len(s1)
     if n < 10:
         raise InsufficientDataError("need at least ten shots to bootstrap")
-    estimate = _ESTIMATORS[estimator](s1, s2)
-    rng = Generator(Philox(key=seed))
-    values = np.empty(resamples)
-    rows = max(1, BLOCK_DRAWS // n)
-    block = np.empty((rows, n), dtype=np.int64)
-    for start in range(0, resamples, rows):
-        stop = min(start + rows, resamples)
-        idx = block[: stop - start]
-        for row in idx:
-            row[:] = rng.integers(0, n, size=n)
-        values[start:stop] = estimate(idx)
+    key, table = _TABLES.get(data, (None, {}))
+    if key != (seed, resamples):
+        key, table = (seed, resamples), {}
+        _TABLES[data] = key, table
+    if estimator not in table:
+        estimate = _ESTIMATORS[estimator](s1, s2)
+        rng = Generator(Philox(key=seed))
+        rows = max(1, BLOCK_DRAWS // n)
+        values = {}
+        for start in range(0, resamples, rows):
+            stop = min(start + rows, resamples)
+            for name, block in estimate(rng.integers(0, n, size=(stop - start, n))).items():
+                values.setdefault(name, np.empty(resamples))[start:stop] = block
+        table.update(values)
+    values = table[estimator]
     alpha = (1.0 - level) / 2.0
     return float(np.quantile(values, alpha)), float(np.quantile(values, 1.0 - alpha))

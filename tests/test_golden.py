@@ -11,8 +11,10 @@ README's fig3 spec, and were recorded before the sampler moved from
 ``fig3_conditional.csv``, re-recorded when its squeezing column became the
 ratio of the two excesses, a deliberate change of that column alone.  The bootstrap intervals are
 ``float.hex`` of ``bootstrap_ci`` for every estimator, recorded with the
-resample-at-a-time loop before the blocked evaluation replaced it; 37
-resamples leave a partial last block at both shot counts.
+resample-at-a-time loop and one pass per estimator, before the blocked
+evaluation and the shared binned pass replaced them; 37 resamples leave a
+partial last block at both shot counts.  Each interval is taken on a fresh
+run, since ``bootstrap_ci`` memoises its values per run.
 """
 
 import functools
@@ -29,7 +31,8 @@ from qndsim.harness import (
     cmd_variance_sweep,
     spec_from_mapping,
 )
-from qndsim.montecarlo import SequenceConfig, run_sequence
+from qndsim import stats
+from qndsim.montecarlo import RunResult, SequenceConfig, run_sequence
 from qndsim.stats import bootstrap_ci
 
 SEED = 1234567
@@ -163,8 +166,44 @@ def bootstrap_run(variant, shots):
                                        **BOOTSTRAP_VARIANTS[variant]))
 
 
+def fresh_bootstrap_run(variant, shots):
+    """A new RunResult of the cached columns: bootstrap_ci memoises its values per run."""
+    run = bootstrap_run(variant, shots)
+    return RunResult(run.config, run.s1, run.s2)
+
+
 @pytest.mark.parametrize("variant, shots, resamples, estimator", list(BOOTSTRAP_INTERVALS))
 def test_bootstrap_interval(variant, shots, resamples, estimator):
-    lo, hi = bootstrap_ci(bootstrap_run(variant, shots), estimator, resamples=resamples,
+    lo, hi = bootstrap_ci(fresh_bootstrap_run(variant, shots), estimator, resamples=resamples,
                           seed=BOOTSTRAP_SEED)
     assert (lo.hex(), hi.hex()) == BOOTSTRAP_INTERVALS[variant, shots, resamples, estimator]
+
+
+@pytest.mark.parametrize("variant, shots, resamples",
+                         sorted({key[:3] for key in BOOTSTRAP_INTERVALS}))
+def test_bootstrap_binned_pass_serves_the_variances(variant, shots, resamples):
+    # the binned pass of sigma_cond and conditioning_gain also gives sigma1
+    # and sigma2: each interval is the golden one whichever pass drew it
+    def interval(run, estimator):
+        lo, hi = bootstrap_ci(run, estimator, resamples=resamples, seed=BOOTSTRAP_SEED)
+        assert (lo.hex(), hi.hex()) == BOOTSTRAP_INTERVALS[variant, shots, resamples, estimator]
+
+    def values(run, estimator):
+        return stats._TABLES[run][1][estimator]
+
+    binned_first = fresh_bootstrap_run(variant, shots)
+    for estimator in ("sigma_cond", "sigma1", "sigma2", "conditioning_gain"):
+        interval(binned_first, estimator)
+    variances_first = fresh_bootstrap_run(variant, shots)
+    for estimator in ("sigma1", "sigma2"):
+        interval(variances_first, estimator)
+    alone = {estimator: values(variances_first, estimator) for estimator in ("sigma1", "sigma2")}
+    interval(variances_first, "conditioning_gain")
+    for estimator, single in alone.items():
+        binned = values(variances_first, estimator)
+        assert binned is not single  # the binned pass replaced them, bit for bit
+        assert np.array_equal(binned, single)
+        assert np.array_equal(values(binned_first, estimator), single)
+        interval(variances_first, estimator)
+    assert np.array_equal(values(variances_first, "conditioning_gain"),
+                          values(binned_first, "conditioning_gain"))

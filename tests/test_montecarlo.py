@@ -393,6 +393,32 @@ class TestSerialization:
         with pytest.raises(ValueError):
             RunResult(cfg(shots=3), np.zeros(2), np.zeros(3))
 
+    @pytest.mark.parametrize("column", ["s1", "s2"])
+    @pytest.mark.parametrize("bad", [[math.inf], [-math.inf], [math.nan], [math.inf, math.nan]])
+    def test_result_rejects_non_finite_shots(self, column, bad):
+        cols = {"s1": np.zeros(50), "s2": np.zeros(50)}
+        cols[column][[17, 40][: len(bad)]] = bad
+        with pytest.raises(ValueError, match=f"column {column} holds a non-finite value"):
+            RunResult(cfg(shots=50), **cols)
+
+    def test_result_compares_by_identity(self):
+        result = run_sequence(cfg(shots=20))
+        twin = RunResult(result.config, result.s1, result.s2)
+        assert result == result and result != twin
+        assert len({result, twin}) == 2  # hashable
+
+    def test_result_keeps_its_own_columns(self):
+        # run_sequence's columns own their data and are frozen in place, not
+        # copied; a view of another array is copied
+        result = run_sequence(cfg(shots=20))
+        assert result.s1.base is None and not result.s1.flags.writeable
+        twin = RunResult(result.config, result.s1, result.s2)
+        assert twin.s1 is result.s1 and twin.s2 is result.s2
+        base = np.stack([result.s1, result.s2])
+        viewed = RunResult(result.config, base[0], base[1])
+        assert not np.shares_memory(viewed.s1, base) and not np.shares_memory(viewed.s2, base)
+        assert not viewed.s1.flags.writeable and base.flags.writeable
+
 
 def loss(var, eta):
     return eta**2 * var + (1 - eta**2) / 2

@@ -4,6 +4,7 @@ import gc
 import math
 import tracemalloc
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,6 +45,19 @@ def columns(s1, s2, kappa=0.0):
     """A RunResult carrying the given s1, s2 columns and a coupling in its config."""
     config = SequenceConfig(mode="qnd", kappa_nominal=kappa, shots=len(s1))
     return RunResult(config, s1, s2)
+
+
+def unchecked(s1, s2):
+    """A RunResult holding s1 and s2 as given: the constructor's finiteness check is skipped."""
+    data = columns(np.zeros(len(s1)), np.zeros(len(s2)))
+    object.__setattr__(data, "s1", s1)
+    object.__setattr__(data, "s2", s2)
+    return data
+
+
+def fresh(data):
+    """A new RunResult of the same columns, so that no bootstrap is served from data's memo."""
+    return RunResult(data.config, data.s1, data.s2)
 
 
 def noise_run(n, seed=0, var=0.5):
@@ -156,11 +170,13 @@ class TestBinnedConditional:
     def test_nan_s1_is_insufficient_data(self):
         # a row with a NaN shot has NaN ends, so every shot leaves the range;
         # NaN must reach the dummy slot before the cast to an integer slot,
-        # which warns on NaN
+        # which warns on NaN.  RunResult rejects NaN shots, but a row's
+        # moments can still overflow to NaN, so the estimators are fed NaN
+        # past the constructor's check
         rng = Generator(Philox(key=7))
         s1, s2 = rng.normal(size=(2, 50))
         s1[::2] = np.nan  # every resample of 50 draws meets one
-        data = columns(s1, s2)
+        data = unchecked(s1, s2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InsufficientDataError, match="fewer than two usable bins"):
@@ -208,7 +224,8 @@ class TestBinnedConditional:
 
     def test_peak_memory(self):
         # one bin slot per shot and centred s2, squared in place: no masked
-        # copies, and Var(s2) is taken before either exists
+        # copies, and Var(s2) is the row sum of those squares, with no
+        # temporary of its own
         data = noise_run(400_000)
         gc.collect()
         tracemalloc.start()
@@ -307,11 +324,11 @@ class TestBootstrap:
 
     def test_deterministic_given_seed(self):
         data = noise_run(300, seed=9)
-        assert bootstrap_ci(data, "sigma_plus", seed=4) == bootstrap_ci(
-            data, "sigma_plus", seed=4
+        assert bootstrap_ci(fresh(data), "sigma_plus", seed=4) == bootstrap_ci(
+            fresh(data), "sigma_plus", seed=4
         )
-        assert bootstrap_ci(data, "sigma_plus", seed=4) != bootstrap_ci(
-            data, "sigma_plus", seed=5
+        assert bootstrap_ci(fresh(data), "sigma_plus", seed=4) != bootstrap_ci(
+            fresh(data), "sigma_plus", seed=5
         )
 
     def test_coverage(self):
@@ -365,10 +382,10 @@ class TestBootstrap:
     @pytest.mark.parametrize("estimator", sorted(stats._ESTIMATORS))
     def test_block_size_changes_nothing(self, monkeypatch, estimator):
         data = run(shots=300)
-        default = bootstrap_ci(data, estimator, resamples=50, seed=2)
+        default = bootstrap_ci(fresh(data), estimator, resamples=50, seed=2)
         for draws in (1, 7 * 300 + 1, 10**6):  # one row, 7 rows, every row per block
             monkeypatch.setattr(stats, "BLOCK_DRAWS", draws)
-            assert bootstrap_ci(data, estimator, resamples=50, seed=2) == default
+            assert bootstrap_ci(fresh(data), estimator, resamples=50, seed=2) == default
 
     def test_rows_bin_like_digitize_on_the_edges(self):
         # mean 0 and std 1 exactly, in any order: the outer edges are -2.5 and
@@ -377,7 +394,7 @@ class TestBootstrap:
         s2 = Generator(Philox(key=3)).normal(size=len(s1))
         perm = Generator(Philox(key=4))
         idx = np.array([np.arange(len(s1))] + [perm.permutation(len(s1)) for _ in range(4)])
-        rows = stats._ESTIMATORS["sigma_cond"](s1, s2)(idx)
+        rows = stats._ESTIMATORS["sigma_cond"](s1, s2)(idx)["sigma_cond"]
         for row, value in zip(idx, rows):
             cond = binned_conditional(columns(s1[row], s2[row]))
             assert (cond.bin_edges[0], cond.bin_edges[-1]) == (-2.5, 2.5)
@@ -392,16 +409,77 @@ class TestBootstrap:
         s1, s2 = rng.normal(size=(2, 2600))
         idx = rng.integers(0, 2600, size=(6, 2600))
         rows = stats._ESTIMATORS["sigma_cond"](s1, s2)
-        first = rows(idx)
+        first = rows(idx)["sigma_cond"]
         gc.collect()
         tracemalloc.start()
         try:
-            again = rows(idx)
+            again = rows(idx)["sigma_cond"]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert np.array_equal(first, again)
         assert peak <= 2.0 * idx.nbytes
+
+    @pytest.mark.parametrize("high", [2600, 777, 10, 2**31 + 1])
+    def test_block_draw_is_the_row_draws(self, high):
+        # one integers call per block draws what one call per row draws: the
+        # spare 32-bit half of a Philox word sits in the generator's state.
+        # At high = 2**31 + 1 about half of the 32-bit draws are rejected;
+        # its rows are shorter than high
+        n = high if high < 2**31 else 777
+        block, per_row = Generator(Philox(key=11)), Generator(Philox(key=11))
+        for m in (1, 6, 21):
+            rows = [per_row.integers(0, high, size=n) for _ in range(m)]
+            assert np.array_equal(block.integers(0, high, size=(m, n)), np.array(rows))
+        assert block.integers(0, 2**40) == per_row.integers(0, 2**40)  # the streams stay in step
+
+    def test_memo_serves_the_same_seed_and_resamples(self, monkeypatch):
+        built = []
+
+        def counting_generator(bit_generator):
+            built.append(bit_generator)
+            return Generator(bit_generator)
+
+        monkeypatch.setattr(stats, "Generator", counting_generator)
+        data = run(shots=300)
+        cond = bootstrap_ci(data, "sigma_cond", resamples=50, seed=2)
+        assert len(built) == 1
+        s1 = bootstrap_ci(data, "sigma1", resamples=50, seed=2)
+        wide = bootstrap_ci(data, "conditioning_gain", resamples=50, seed=2, level=0.95)
+        assert bootstrap_ci(data, "sigma_cond", resamples=50, seed=2) == cond
+        assert len(built) == 1  # any estimator of the pass, at any level, draws nothing
+        bootstrap_ci(data, "sigma_plus", resamples=50, seed=2)
+        assert len(built) == 2  # sigma_plus has a pass of its own
+        assert bootstrap_ci(data, "sigma1", resamples=50, seed=3) != s1
+        assert len(built) == 3
+        assert bootstrap_ci(data, "sigma1", resamples=51, seed=3) != s1
+        assert len(built) == 4
+        assert bootstrap_ci(data, "sigma1", resamples=50, seed=2) == s1
+        assert bootstrap_ci(data, "conditioning_gain", resamples=50, seed=2, level=0.95) == wide
+        assert len(built) == 6  # one entry per run: seed 2 was drawn again
+
+    def test_memo_goes_with_its_run(self):
+        data = run(shots=300)
+        gc.collect()
+        entries = len(stats._TABLES)
+        bootstrap_ci(data, "sigma_cond", resamples=20)
+        assert len(stats._TABLES) == entries + 1
+        ref = weakref.ref(data)
+        del data
+        gc.collect()
+        assert ref() is None  # the memo holds no strong reference to its run
+        assert len(stats._TABLES) == entries
+
+    def test_writing_a_base_array_changes_no_run(self):
+        base = Generator(Philox(key=6)).normal(size=(2, 300))
+        s1 = base[0].copy()
+        data = columns(base[0], base[1])
+        interval = bootstrap_ci(data, "sigma1", resamples=50)
+        base[0] = 3.0
+        assert not np.shares_memory(data.s1, base)
+        assert np.array_equal(data.s1, s1)
+        assert bootstrap_ci(fresh(data), "sigma1", resamples=50) == interval
+        assert bootstrap_ci(data, "sigma1", resamples=50) == interval
 
 
 class TestFigureThreeCProperty:
