@@ -186,8 +186,9 @@ class RunResult:
     """One run's records s1 and s2, column-wise, and its config.
 
     A run is compared and hashed by identity, and its columns are finite and
-    read-only: a column that owns its data is frozen in place, a view of
-    another array is copied, so nothing can change a run once it exists.
+    read-only: a column that is writeable or a view of another array is
+    copied, and a frozen one that owns its data is kept, so writing the
+    arrays it was built from changes no run.
     The atoms' hidden truth, jz1, jz2 and kappa_shot, is not held: on first
     read it is re-derived from the config's Philox windows and cached, so for
     a run from :func:`run_sequence` it is that run's own atoms, bit for bit.
@@ -206,9 +207,11 @@ class RunResult:
                 finite = np.isfinite(col.min()) and np.isfinite(col.max())
             if not finite:
                 raise ValueError(f"column {name} holds a non-finite value")
-            if col.base is not None:  # a view: its base may still be written
+            # freezing a caller's array in place would not stop the caller from
+            # unfreezing and writing it; _sample's columns come frozen and are kept
+            if col.flags.writeable or col.base is not None:
                 col = col.copy()
-            col.setflags(write=False)
+                col.setflags(write=False)
             object.__setattr__(self, name, col)
 
     def __len__(self) -> int:
@@ -216,10 +219,7 @@ class RunResult:
 
     @cached_property
     def _atoms(self) -> list[np.ndarray]:
-        cols = _sample(self.config, slice(2, 5), workers=1)
-        for col in cols:
-            col.setflags(write=False)
-        return cols
+        return _sample(self.config, slice(2, 5), workers=1)
 
     jz1 = property(lambda self: self._atoms[0], doc="Atomic z before pulse 1.")
     jz2 = property(lambda self: self._atoms[1], doc="Atomic z before pulse 2.")
@@ -359,7 +359,8 @@ def _sample(config: SequenceConfig, which: slice, workers: int) -> list[np.ndarr
 
     Each chunk is sampled straight into its slice of the columns.  With
     ``workers`` and the chunk count both above one, a thread pool fills the
-    chunks, else they are filled in turn; the columns are the same either way.
+    chunks, else they are filled in turn; the columns are the same either way,
+    and are returned read-only.
     """
     cols = [np.empty(config.shots) for _ in range(5)[which]]
 
@@ -376,6 +377,8 @@ def _sample(config: SequenceConfig, which: slice, workers: int) -> list[np.ndarr
             deque(pool.map(fill, starts), maxlen=0)
     else:
         deque(map(fill, starts), maxlen=0)
+    for col in cols:
+        col.setflags(write=False)
     return cols
 
 

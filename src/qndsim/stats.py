@@ -2,17 +2,20 @@
 
 All variance estimators are Bessel-corrected.  The +/- combinations carry a
 factor 1/2, i.e. sigma_plus = Var(s1 + s2)/2 and sigma_minus = Var(s1 - s2)/2,
-so every estimator reads 1/2 at the shot-noise floor.  Standard errors use the
-Gaussian fourth-moment formula Var(sample variance) = 2*sigma^4/(n-1); the
-bootstrap is available as an independent cross-check.
+so every estimator reads 1/2 at the shot-noise floor.  The variances' standard
+errors use the Gaussian fourth-moment formula Var(sample variance) =
+2*sigma^4/(n-1); the bootstrap is available as an independent cross-check.
 
-The binned conditional variance is one pipeline, _binned: it bins each row
-of a block of shots by arithmetic on the row's own range, and _pool pools
-the per-bin variances of centred s2.  On its way _binned takes each row's
-variances of s1 and s2, bit for bit those of the variance estimators.
-binned_conditional runs it on the run as one row, the bootstrap on each
-block of resamples, which holds about 2**14 draws, so its arrays stay in
-cache and its memory flat.
+The conditional variance is the residual of the linear regression of s2 on
+s1, Var(s2|s1) = v2 - c**2/v1, from the moments v1 = Var(s1), c = Cov(s1, s2)
+and v2 = Var(s2): what :func:`qndsim.montecarlo.predict` gives as ``cond``,
+at any loss and any atom-number spread.  Its standard error is
+sqrt(Var(r**2)/n) over the centred residuals r, with no Gaussian form
+assumed.  One pass, _moments, takes the three moments of each row of a block
+of shots, v1 and v2 bit for bit those of the variance estimators.
+binned_conditional runs it on the run, the bootstrap on each block of
+resamples, which holds about 2**14 draws, so its arrays stay in cache and
+its memory flat.
 
 Bootstrap draw rule: each block's index rows come from one ``integers``
 call, which draws exactly what one call per row would, since the spare
@@ -23,16 +26,14 @@ since freeing block-sized arrays after every block lets the C allocator
 trim the heap and fault the pages back in for the next.
 
 Bootstrap memo rule: one pass per run, seed and resample count.  Each
-estimator has a pass of its own, and the binned pass of sigma_cond or
+estimator has a pass of its own, and the moment pass of sigma_cond or
 conditioning_gain also gives sigma1, sigma2 and the other of the two.
 bootstrap_ci keeps the values of every pass on the run, for its latest
 (seed, resamples), in a table that lives and dies with the run, so a later
 interval of any estimator in it, at any level, is two quantiles.
 
 The estimators read only a run's s1, s2 and config, and binned_conditional
-holds at most two run-sized temporaries: a copy of s1, binned in place and
-then refilled with centred s2 for _pool to square in place, and the bin
-slot of each shot.
+holds at most two run-sized temporaries, the moment pass's scratch columns.
 """
 
 from __future__ import annotations
@@ -47,14 +48,8 @@ from numpy.random import Generator, Philox
 from .montecarlo import RunResult
 from .physics import is_positive_int
 
-DEFAULT_BINS = 21
-# Bin range +/-2.5 sigma keeps >= 98% of Gaussian data; bins with fewer than
-# two shots cannot carry a Bessel-corrected variance and are dropped.
-HALF_RANGE_SIGMAS = 2.5
-MIN_BIN_COUNT = 2
 # Draws per bootstrap block: rows = max(1, BLOCK_DRAWS // n).
 BLOCK_DRAWS = 2**14
-_ZERO_SPREAD = "s1 has zero spread, cannot bin"
 
 
 class InsufficientDataError(ValueError):
@@ -81,12 +76,12 @@ class VarianceSummary:
 
 @dataclass(frozen=True)
 class ConditionalResult:
-    """Binned conditional variance of s2 given s1, and the implied squeezing."""
+    """Var(s2|s1) as the regression residual v2 - c**2/v1, its SE and the implied squeezing.
+
+    se_cond is sqrt(Var(r**2)/n) over the centred residuals r of s2 - (c/v1)*s1.
+    """
 
     sigma_cond: float
-    n_bins: int
-    bin_edges: tuple[float, ...]
-    per_bin: tuple[tuple[int, float], ...]
     squeezing_db: float
     se_cond: float
 
@@ -126,107 +121,55 @@ def variances(data: RunResult) -> VarianceSummary:
     )
 
 
-def _pool(slot, centered, spread, n_bins):
-    """Count-weighted mean of the per-bin variances of centred s2, one value per row.
+def _moments(x, y, a, b):
+    """Bessel-corrected v1 = Var(x), c = Cov(x, y) and v2 = Var(y) along the last axis.
 
-    ``slot`` holds row * (n_bins + 1) + bin for every shot of every row, as
-    _binned lays it out, with bin = n_bins for the shots outside the range;
-    ``centered`` holds the shots' centred s2 in the same order, and is
-    squared in place.  Rows before the first zero-spread row are pooled
-    first, so a row with fewer than two usable bins raises ahead of a later
-    zero-spread row.  Returns sigma_cond per row, and the (m, n_bins) counts
-    and variances, NaN in bins too small to use.
+    x and y are a run's s1 and s2, or (m, n) blocks of them, and are only
+    read; a and b are scratch of their shape.  Each moment is the pairwise
+    sum of a product of centred rows over n - 1, so v1 and v2 are bit for
+    bit x.var and y.var with ddof=1.  Raises InsufficientDataError for a row
+    whose s1 has no positive spread, NaN included.
     """
-    m, slots = len(spread), n_bins + 1
-
-    def per_slot(weights):
-        return np.bincount(slot, weights, minlength=m * slots).reshape(m, slots)[:, :n_bins]
-
-    counts, sums = per_slot(None), per_slot(centered)
-    sq = per_slot(np.square(centered, out=centered))  # the caller's scratch copy
-    zero = spread == 0.0
-    end = int(zero.argmax()) if zero.any() else m
-    usable = counts[:end] >= MIN_BIN_COUNT
-    per_row = usable.sum(axis=1)
-    if (per_row < 2).any():
-        raise InsufficientDataError("fewer than two usable bins")
-    if end < m:
-        raise InsufficientDataError(_ZERO_SPREAD)
-    c = counts[usable].astype(float)
-    var = np.full(counts.shape, math.nan)
-    var[usable] = (sq[usable] - sums[usable] ** 2 / c) / (c - 1.0)
-    weighted = c * var[usable]
-    # one np.sum per row over its own usable bins: a zero-padded sum along
-    # axis 1 would group the terms, and so round, differently
-    ends = np.cumsum(per_row).tolist()
-    sums_per_row = [weighted[end - k : end].sum() for end, k in zip(ends, per_row.tolist())]
-    return np.array(sums_per_row) / (counts * usable).sum(axis=1), counts, var
+    n1 = x.shape[-1] - 1
+    mean_x = x.mean(axis=-1, keepdims=True)
+    np.subtract(x, mean_x, out=a)
+    np.subtract(y, y.mean(axis=-1, keepdims=True), out=b)
+    cov = np.multiply(a, b, out=a).sum(axis=-1) / n1
+    var_y = np.square(b, out=b).sum(axis=-1) / n1
+    np.subtract(x, mean_x, out=a)
+    var_x = np.square(a, out=a).sum(axis=-1) / n1
+    if not (var_x > 0.0).all():
+        raise InsufficientDataError("s1 has zero or non-finite spread")
+    return var_x, cov, var_y
 
 
-def _binned(x, y, n_bins):
-    """Bin each row of an (m, n) block of s1 shots ``x`` and pool the s2 shots ``y``.
+def binned_conditional(data: RunResult) -> ConditionalResult:
+    """Conditional variance of s2 given s1: the residual of the regression of s2 on s1.
 
-    A row's range is lo = mean - half to hi = mean + half, half =
-    HALF_RANGE_SIGMAS sd.  A shot with lo <= x <= hi is in bin
-    floor((x - lo) * n_bins / (2 * half)), clamped to n_bins - 1; any other,
-    NaN included, goes to the dummy slot before the integer cast.  ``x`` is
-    scratch: binned in place, then refilled with centred y.  Returns each
-    row's Bessel-corrected variances of x and y, as np.var gives them,
-    _pool's three values, and the rows' lo and hi as (m, 1) columns.
-    """
-    center, var_x = x.mean(axis=1, keepdims=True), x.var(axis=1, ddof=1, keepdims=True)
-    spread = np.sqrt(var_x)  # what x.std computes
-    # a zero-spread row raises in _pool; the stand-in keeps n_bins / (2 * half) finite
-    half = HALF_RANGE_SIGMAS * np.where(spread == 0.0, 1.0, spread)
-    lo, hi = center - half, center + half
-    inside = (lo <= x) & (x <= hi)
-    x -= lo
-    x *= n_bins / (2.0 * half)
-    np.minimum(x, n_bins - 1, out=x)  # x == hi, and a product rounded up to n_bins
-    x[~inside] = n_bins
-    del inside  # freed before the run-sized slots exist
-    slot = x.astype(np.intp)  # every value lies in [0, n_bins], so this is floor
-    slot += (n_bins + 1) * np.arange(len(x))[:, None]
-    np.subtract(y, y.mean(axis=1, keepdims=True), out=x)  # improves the single-pass cancellation
-    pooled = _pool(slot.ravel(), x.ravel(), spread.ravel(), n_bins)
-    var_y = x.sum(axis=1) / (x.shape[1] - 1)  # _pool squared x in place, as np.var does
-    return (var_x.ravel(), var_y, *pooled, lo, hi)
-
-
-def binned_conditional(data: RunResult, n_bins: int = DEFAULT_BINS) -> ConditionalResult:
-    """Conditional variance of s2 from equal-width bins of s1.
-
-    Bins cover mean(s1) +/- HALF_RANGE_SIGMAS * std(s1); shots outside are
-    excluded.  sigma_cond averages the per-bin variances of s2 over bins with
-    at least two shots, weighted by bin count.  squeezing_db is
+    sigma_cond = v2 - c**2/v1 from :func:`_moments`, and se_cond is
+    sqrt(Var(r**2)/n) over the centred residuals r of s2 - (c/v1)*s1: the
+    slope's own error enters only at second order, and no Gaussian form is
+    assumed, so it holds under atom-number spread.  squeezing_db is
     :func:`squeezing_db` of Var(s2) - 1/2 and sigma_cond - 1/2, and NaN at
     zero nominal coupling and in the z basis, where no atomic signal reaches
-    s2 and the ratio is one of two noise terms.
+    s2.  The name is kept from the binned estimator this replaced, since
+    scripts and the per-layer benchmark call it by that name.
     """
-    if not is_positive_int(n_bins):
-        raise ValueError(f"n_bins must be a positive integer, got {n_bins!r}")
     s1, s2 = data.s1, data.s2
-    if len(s1) < 2 * MIN_BIN_COUNT:
-        raise InsufficientDataError("need at least four shots to bin")
-    _, (var2,), (sigma_cond,), (counts,), (bin_var,), lo, hi = _binned(
-        s1.copy()[None], s2[None], n_bins
-    )
-    total, sigma_cond = float(var2) - 0.5, float(sigma_cond)
-    c = counts[counts >= MIN_BIN_COUNT].astype(float)
-    # per-bin Var(variance) ~ 2*sigma^4/(n_b - 1), pooled sigma^4.
-    se = float(sigma_cond * math.sqrt(2.0 * np.sum(c**2 / (c - 1.0))) / c.sum())
+    n = len(s1)
+    if n < 3:
+        raise InsufficientDataError("need at least three shots to condition")
+    r, b = np.empty(n), np.empty(n)
+    var1, cov, var2 = (float(v) for v in _moments(s1, s2, r, b))
+    del b  # freed before np.var takes its temporary of r
+    sigma_cond = var2 - cov * cov / var1
+    np.multiply(s1, -cov / var1, out=r)
+    r += s2
+    r -= r.mean()
+    se = math.sqrt(np.var(np.square(r, out=r), ddof=1) / n)
     coupled = data.config.kappa_nominal and data.config.basis != "z"
-    db = squeezing_db(total, sigma_cond - 0.5) if coupled else math.nan
-    return ConditionalResult(
-        sigma_cond=sigma_cond,
-        n_bins=n_bins,
-        bin_edges=tuple(np.linspace(lo.item(), hi.item(), n_bins + 1).tolist()),
-        per_bin=tuple(
-            (int(c), float(v)) for c, v in zip(counts.tolist(), bin_var.tolist())
-        ),
-        squeezing_db=db,
-        se_cond=se,
-    )
+    db = squeezing_db(var2 - 0.5, sigma_cond - 0.5) if coupled else math.nan
+    return ConditionalResult(sigma_cond=sigma_cond, squeezing_db=db, se_cond=se)
 
 
 def squeezing_db(total_excess: float, conditional_excess: float) -> float:
@@ -244,25 +187,28 @@ def squeezing_db(total_excess: float, conditional_excess: float) -> float:
     return 10.0 * math.log10(total_excess / conditional_excess)
 
 
-def _binned_rows(s1, s2):
+def _moment_rows(s1, s2):
     """sigma1, sigma2, sigma_cond and conditioning_gain of each row of a block of resample indices.
 
-    A block's s1 and s2 are gathered into two block buffers, allocated at the
-    first (largest) block and refilled by every later one, and binned by
-    _binned, the function that bins binned_conditional's single row.
+    A block's s1 and s2 are gathered into two block buffers and taken
+    through _moments, the pass binned_conditional takes on the run, with two
+    more as its scratch.  The four are allocated at the first (largest)
+    block and refilled by every later one.
     """
-    x = y = np.empty((0, len(s1)))
+    bufs = [np.empty((0, len(s1)))] * 4
 
     def rows(idx):
-        nonlocal x, y
+        nonlocal bufs
         m = len(idx)
-        if len(x) < m:
-            x, y = np.empty(idx.shape), np.empty(idx.shape)
+        if len(bufs[0]) < m:
+            bufs = [np.empty(idx.shape) for _ in range(4)]
+        x, y, a, b = (buf[:m] for buf in bufs)
         # indices are in range by construction; mode "clip" lets take fill
         # ``out`` directly, where the default mode would allocate a copy
-        s1.take(idx, out=x[:m], mode="clip")
-        s2.take(idx, out=y[:m], mode="clip")
-        var1, var2, sigma_cond = _binned(x[:m], y[:m], DEFAULT_BINS)[:3]
+        s1.take(idx, out=x, mode="clip")
+        s2.take(idx, out=y, mode="clip")
+        var1, cov, var2 = _moments(x, y, a, b)
+        sigma_cond = var2 - cov * cov / var1
         return {
             "sigma1": var1,
             "sigma2": var2,
@@ -288,8 +234,8 @@ def _variance_rows(name):
 # every estimator the pass serves, one value per row.
 _ESTIMATORS = {
     **{name: _variance_rows(name) for name in _VARIANCES},
-    "sigma_cond": _binned_rows,
-    "conditioning_gain": _binned_rows,
+    "sigma_cond": _moment_rows,
+    "conditioning_gain": _moment_rows,
 }
 
 # Each run's resample values: its latest (seed, resamples) and a table of
@@ -312,7 +258,8 @@ def bootstrap_ci(
     max(1, BLOCK_DRAWS // n) resamples is drawn by one
     ``rng.integers(0, n, size=(rows, n))`` call, the same draws as one call
     per row, so the block size changes no draw and no value.  sigma_cond and
-    conditioning_gain bin each block as binned_conditional bins the run, and
+    conditioning_gain are v2 - c**2/v1 and v2 minus that, of each
+    resample's moments, taken as binned_conditional takes the run's, and
     that pass also gives sigma1 and sigma2.  The values of each pass are
     kept on the run for its latest seed and resamples and go with the run,
     so asking again for any estimator they hold, at any level, draws

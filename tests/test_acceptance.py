@@ -97,7 +97,7 @@ def test_criterion_3_variance_suite():
 def test_criterion_4_conditional_suite():
     result = run()
     vs = variances(result)
-    cond = binned_conditional(result)  # 21 bins
+    cond = binned_conditional(result)
     target = 0.62**2 / (2 * (1 + 0.62**2))
     assert target == pytest.approx(0.1388, abs=5e-5)
     assert abs((cond.sigma_cond - 0.5) - target) <= 3 * cond.se_cond
@@ -131,7 +131,7 @@ def test_criterion_5_oracle_equivalence():
 
     for i, kappa in enumerate(grid):
         result = run(kappa_nominal=float(kappa), shots=100_000, seed=SEED + i)
-        cond = binned_conditional(result, n_bins=101)
+        cond = binned_conditional(result)
         assert abs(cond.sigma_cond - exact_conditional(kappa)) <= 5 * cond.se_cond, kappa
     report(
         5,

@@ -408,8 +408,9 @@ class TestSerialization:
         assert len({result, twin}) == 2  # hashable
 
     def test_result_keeps_its_own_columns(self):
-        # run_sequence's columns own their data and are frozen in place, not
-        # copied; a view of another array is copied
+        # run_sequence's columns own their data and are frozen as they are
+        # sampled, so they are kept, not copied; a view of another array is
+        # copied
         result = run_sequence(cfg(shots=20))
         assert result.s1.base is None and not result.s1.flags.writeable
         twin = RunResult(result.config, result.s1, result.s2)
