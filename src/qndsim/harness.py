@@ -23,8 +23,12 @@ declares its statistics once, as (name, estimate, SE, model target), and the
 driver builds both the table columns and the ``--check`` bands from them.
 Both squeezing columns of ``conditional``, data and theory, are
 :func:`qndsim.stats.squeezing_db` of the total and the conditional excess.
-Every command, ``joint`` included, summarises each run as it is sampled and
-drops it before sampling the next, so it holds one run's columns at a time.
+Every command summarises each run as it is sampled and drops it before
+sampling the next.  ``joint`` so holds one run's columns at a time, and a
+sweep one grid point's: point ``i`` of every mode runs on
+``sweep_seed(seed, i)``, so the modes' runs share their Philox windows and
+their s1 (common random numbers), and the point's columns are s1 once plus
+each mode's s2.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 statistical check
 failure (with --check).
@@ -46,7 +50,7 @@ import numpy as np
 
 from . import stats
 from .montecarlo import (
-    SequenceConfig, _check_workers, predict, run_kappa_sweep, run_sequence, sweep_seed
+    SequenceConfig, _check_workers, predict, run_group, run_sequence, sweep_seed
 )
 from .physics import (
     SheetError,
@@ -463,37 +467,51 @@ def _sweep(spec, stem, modes, point, theory, header, theory_header, check, worke
     and its unchecked extra columns: a row is kappa, the estimates, the
     extras, then the SEs.  ``theory(config)`` gives a theory row after kappa.
     Every model runs, and the grid and ``workers`` are checked, before the
-    output directory is created.  The manifest is written before a
-    :class:`CheckFailure` is raised.
+    output directory is created.  The grid is walked point by point: point
+    ``i`` runs every mode on ``sweep_seed(seed, i)``, so its runs share their
+    Philox windows and are sampled together by :func:`run_group`.  The rows
+    and failures are kept per mode, so the files and the failure text follow
+    the mode order.  The manifest is written before a :class:`CheckFailure`
+    is raised.
     """
     grid = resolve_kappa_grid(spec)
-    sweeps = []
-    for mode in modes:
-        base = replace(spec.sequence, mode=mode or spec.sequence.mode)
-        models = [predict(replace(base, kappa_nominal=kappa)) for kappa in grid]
-        sweeps.append((mode, models, run_kappa_sweep(base, grid, workers=workers)))
+    if not grid:
+        raise ValueError("the kappa grid must be non-empty")
+    bases = [replace(spec.sequence, mode=mode or spec.sequence.mode) for mode in modes]
+    models = [[predict(replace(base, kappa_nominal=kappa)) for kappa in grid] for base in bases]
+    _check_workers(workers)
     theory_rows = [
         (k, *theory(replace(spec.sequence, kappa_nominal=float(k)))) for k in _theory_kappas(grid)
     ]
     outdir = _outdir(spec)
-    data = {}
-    failures = []
-    for mode, models, runs in sweeps:
-        tag = [mode] if mode else []
-        # map drops each run once summarised, before the next is sampled (a loop
-        # variable would keep it alive): one run's columns are held at a time
-        points = map(point, runs, models)
-        rows = []
-        for kappa, (statistics, extra) in zip(grid, points):
+    tags = [[mode] if mode else [] for mode in modes]
+    rows = [[] for _ in modes]
+    failures = [[] for _ in modes]
+    for i, kappa in enumerate(grid):
+        group = [
+            replace(base, kappa_nominal=kappa, seed=sweep_seed(base.seed, i)) for base in bases
+        ]
+        # the comprehension drops the point's runs once summarised, before the
+        # next point is sampled: one point's s1 and each mode's s2 are held
+        summaries = [
+            point(run, mode_models[i])
+            for run, mode_models in zip(run_group(group, workers), models)
+        ]
+        for tag, mode_rows, mode_failures, (statistics, extra) in zip(
+            tags, rows, failures, summaries
+        ):
             _, values, ses, _ = zip(*statistics)
-            rows.append((kappa, *values, *extra, *ses))
+            mode_rows.append((kappa, *values, *extra, *ses))
             if check:
-                failures += _band_failures(" ".join([*tag, f"kappa={kappa:g}"]), statistics)
+                mode_failures += _band_failures(" ".join([*tag, f"kappa={kappa:g}"]), statistics)
+    data = {}
+    for tag, mode_rows in zip(tags, rows):
         path = outdir / ("_".join([spec.name, stem, *tag]) + ".csv")
-        data[path] = _write_csv(path, header, list(zip(*rows)))
+        data[path] = _write_csv(path, header, list(zip(*mode_rows)))
     theory_path = outdir / f"{spec.name}_{stem}_theory.csv"
     theory_files = {theory_path: _write_csv(theory_path, theory_header, list(zip(*theory_rows)))}
     bundle = _emit_manifest(outdir, spec, f"{stem}_sweep", data, theory_files)
+    failures = [failure for mode_failures in failures for failure in mode_failures]
     if failures:
         raise CheckFailure("; ".join(failures))
     return bundle

@@ -17,7 +17,7 @@ records s1 and s2: the atoms' columns are sampled again when first read.
 
 Per-shot slot layout.  All 8 words are always drawn, so the layout never
 shifts; only the slots a configuration consumes (see :func:`_used_slots`) are
-transformed to normals, the others are drawn and discarded:
+gathered and transformed to normals, the others are drawn and discarded:
 
     0  atom-number scale (shot-to-shot coupling fluctuation)
     1  atomic z before pulse 1
@@ -27,6 +27,13 @@ transformed to normals, the others are drawn and discarded:
     5  vacuum refill for pulse-1 loss
     6  vacuum refill for pulse-2 loss
     7  reserved padding (keeps windows block-aligned)
+
+Common random numbers.  s1 reads slots 0, 1, 3 and 5 only, which every mode
+uses alike, so configurations that differ only in mode give the same s1 from
+the same seed.  :func:`run_group` samples such a group together: each chunk
+is drawn and transformed once, and the runs share one s1 column.  A sweep's
+point ``i`` runs every mode on ``sweep_seed(seed, i)``, so the modes' s1
+columns there are identical.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ DRAWS_PER_SHOT = 8
 _CHUNK_SHOTS = 8192
 _U64 = (1 << 64) - 1
 _UNIT = 2.0**-53  # a word's top 53 bits times this is a uniform double in [0, 1)
+_TINY = np.finfo(float).tiny
 
 MODES = ("qnd", "reinit")
 BASES = ("y", "z")
@@ -186,12 +194,13 @@ class RunResult:
     """One run's records s1 and s2, column-wise, and its config.
 
     A run is compared and hashed by identity, and its columns are finite and
-    read-only: a column that is writeable or a view of another array is
-    copied, and a frozen one that owns its data is kept, so writing the
-    arrays it was built from changes no run.
+    read-only.  Every column passed in is copied, so no array a caller holds,
+    frozen or not, is a run's column; only the sampler keeps its own columns,
+    which no caller can reach, without a copy (the runs of a
+    :func:`run_group` share one s1).
     The atoms' hidden truth, jz1, jz2 and kappa_shot, is not held: on first
     read it is re-derived from the config's Philox windows and cached, so for
-    a run from :func:`run_sequence` it is that run's own atoms, bit for bit.
+    a sampled run it is that run's own atoms, bit for bit.
     """
 
     config: SequenceConfig
@@ -200,26 +209,36 @@ class RunResult:
 
     def __post_init__(self):
         for name in ("s1", "s2"):
-            col = np.asarray(getattr(self, name), dtype=float)
+            col = np.array(getattr(self, name), dtype=float)  # always a copy
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+        self._check_columns()
+
+    @classmethod
+    def _sampled(cls, config: SequenceConfig, s1: np.ndarray, s2: np.ndarray) -> RunResult:
+        """A run of the sampler's own read-only columns, kept without a copy."""
+        run = cls.__new__(cls)
+        for name, value in (("config", config), ("s1", s1), ("s2", s2)):
+            object.__setattr__(run, name, value)
+        run._check_columns()
+        return run
+
+    def _check_columns(self) -> None:
+        for name in ("s1", "s2"):
+            col = getattr(self, name)
             if col.shape != (self.config.shots,):
                 raise ValueError(f"column {name} must have length {self.config.shots}")
             with np.errstate(invalid="ignore"):  # min and max propagate NaN
                 finite = np.isfinite(col.min()) and np.isfinite(col.max())
             if not finite:
                 raise ValueError(f"column {name} holds a non-finite value")
-            # freezing a caller's array in place would not stop the caller from
-            # unfreezing and writing it; _sample's columns come frozen and are kept
-            if col.flags.writeable or col.base is not None:
-                col = col.copy()
-                col.setflags(write=False)
-            object.__setattr__(self, name, col)
 
     def __len__(self) -> int:
         return self.config.shots
 
     @cached_property
     def _atoms(self) -> list[np.ndarray]:
-        return _sample(self.config, slice(2, 5), workers=1)
+        return _sample([self.config], ["jz1", ("jz2", 0), "kappa_shot"], workers=1)
 
     jz1 = property(lambda self: self._atoms[0], doc="Atomic z before pulse 1.")
     jz2 = property(lambda self: self._atoms[1], doc="Atomic z before pulse 2.")
@@ -285,10 +304,15 @@ def ppnd16(p) -> np.ndarray:
     shape = p.shape
     p = p.ravel()
     q = p - 0.5
-    r = 0.180625 - q * q
-    x = q * _horner(_CENTRAL_NUM, r)
-    x /= _horner(_CENTRAL_DEN, r)
     tail = np.flatnonzero(np.abs(q) > 0.425)
+    sign = q[tail]
+    r = np.square(q)
+    np.subtract(0.180625, r, out=r)
+    x = _horner(_CENTRAL_NUM, r)
+    x *= q
+    del q  # with p, r and x, the denominator's polynomial is the fourth full-size array
+    x /= _horner(_CENTRAL_DEN, r)
+    del r
     pt = p[tail]
     r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
     s = r - 1.6
@@ -296,7 +320,7 @@ def ppnd16(p) -> np.ndarray:
     far = np.flatnonzero(r > 5.0)
     s = r[far] - 5.0
     xt[far] = _horner(_FAR_NUM, s) / _horner(_FAR_DEN, s)
-    x[tail] = np.copysign(xt, q[tail])
+    x[tail] = np.copysign(xt, sign)
     return x.reshape(shape)
 
 
@@ -322,31 +346,54 @@ def _used_slots(config: SequenceConfig) -> list[int]:
     return sorted(slots)
 
 
-def _columns_from_uniforms(config: SequenceConfig, u: np.ndarray):
-    """Map an (n, DRAWS_PER_SHOT) uniform block to s1, s2, jz1, jz2 and kappa_shot."""
-    slots = _used_slots(config)
-    # one transform of the gathered slots; clip exact zeros so AS241 stays finite
-    z = dict(zip(slots, ppnd16(np.maximum(u.T[slots], np.finfo(float).tiny))))
+def _normals(seed: int, start: int, n: int, slots: list[int]) -> dict[int, np.ndarray]:
+    """Standard normals of the window slots ``slots`` of shots ``start .. start + n - 1``.
+
+    The slots' words are gathered first and only they become uniforms, each
+    as :func:`window_uniforms` maps a word; an exact zero is clipped to the
+    smallest normal double, so AS241 stays finite.  One :func:`ppnd16` call
+    transforms them all.
+    """
+    words = Philox(key=seed).advance(2 * start).random_raw(n * DRAWS_PER_SHOT)
+    used = words.reshape(n, DRAWS_PER_SHOT).T[slots]
+    del words  # the words go before AS241's temporaries are made, and so do the gathered ones
+    used >>= 11
+    u = np.multiply(used, _UNIT)
+    del used
+    np.maximum(u, _TINY, out=u)
+    return dict(zip(slots, ppnd16(u)))
+
+
+def _columns(configs: list[SequenceConfig], z: dict[int, np.ndarray]) -> dict:
+    """One chunk of a group's columns from its normals ``z`` (slot -> normals).
+
+    The configs differ only in mode, so kappa_shot, jz1 and s1 are the
+    group's, one each; config ``i``'s own jz2 and s2 are keyed ("jz2", i)
+    and ("s2", i).  Only the slots of :func:`_used_slots` are read.
+    """
+    config = configs[0]
     root_half = math.sqrt(0.5)
+    refill = math.sqrt((1.0 - config.eta**2) * 0.5)
 
     kappa_shot = config.kappa_nominal  # a constant column without atom-number spread
-    if 0 in z:
+    if config.atom_fluctuation and config.spin_rel_std > 0.0:
         atom_scale = np.maximum(1.0 + config.spin_rel_std * z[0], MIN_ATOM_FRACTION)
         kappa_shot = config.kappa_nominal * np.sqrt(atom_scale)
 
-    jz1 = root_half * z[1]
-    jz2 = jz1 if config.mode == "qnd" else root_half * z[2]
+    def record(light: int, jz, vacuum: int) -> np.ndarray:
+        s = root_half * z[light]
+        if config.basis == "y":
+            s = s + kappa_shot * jz
+        if config.eta < 1.0:
+            s = config.eta * s + refill * z[vacuum]
+        return s
 
-    s1 = root_half * z[3]
-    s2 = root_half * z[4]
-    if config.basis == "y":
-        s1 = s1 + kappa_shot * jz1
-        s2 = s2 + kappa_shot * jz2
-    if config.eta < 1.0:
-        refill = math.sqrt((1.0 - config.eta**2) * 0.5)
-        s1 = config.eta * s1 + refill * z[5]
-        s2 = config.eta * s2 + refill * z[6]
-    return s1, s2, jz1, jz2, kappa_shot
+    jz1 = root_half * z[1]
+    columns = {"kappa_shot": kappa_shot, "jz1": jz1, "s1": record(3, jz1, 5)}
+    for i, member in enumerate(configs):
+        jz2 = jz1 if member.mode == "qnd" else root_half * z[2]
+        columns["jz2", i], columns["s2", i] = jz2, record(4, jz2, 6)
+    return columns
 
 
 def _check_workers(workers) -> None:
@@ -354,23 +401,26 @@ def _check_workers(workers) -> None:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
 
 
-def _sample(config: SequenceConfig, which: slice, workers: int) -> list[np.ndarray]:
-    """The ``which`` columns of :func:`_columns_from_uniforms` over all shots of ``config``.
+def _sample(configs: list[SequenceConfig], keys: list, workers: int) -> list[np.ndarray]:
+    """The ``keys`` columns of :func:`_columns` over all shots of the group ``configs``.
 
-    Each chunk is sampled straight into its slice of the columns.  With
-    ``workers`` and the chunk count both above one, a thread pool fills the
-    chunks, else they are filled in turn; the columns are the same either way,
-    and are returned read-only.
+    Each chunk's windows are drawn once for the whole group, the union of the
+    configs' used slots is transformed once, and the chunk is sampled straight
+    into its slice of the columns.  With ``workers`` and the chunk count both
+    above one, a thread pool fills the chunks, else they are filled in turn;
+    the columns are the same either way, and are returned read-only.
     """
-    cols = [np.empty(config.shots) for _ in range(5)[which]]
+    shots, seed = configs[0].shots, configs[0].seed
+    slots = sorted(set().union(*map(_used_slots, configs)))
+    cols = [np.empty(shots) for _ in keys]
 
     def fill(start: int) -> None:
-        stop = min(start + _CHUNK_SHOTS, config.shots)
-        u = window_uniforms(config.seed, start, stop - start)
-        for col, values in zip(cols, _columns_from_uniforms(config, u)[which]):
-            col[start:stop] = values
+        stop = min(start + _CHUNK_SHOTS, shots)
+        chunk = _columns(configs, _normals(seed, start, stop - start, slots))
+        for col, key in zip(cols, keys):
+            col[start:stop] = chunk[key]
 
-    starts = range(0, config.shots, _CHUNK_SHOTS)
+    starts = range(0, shots, _CHUNK_SHOTS)
     # consuming either map fills every chunk and re-raises a chunk's error
     if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -382,10 +432,29 @@ def _sample(config: SequenceConfig, which: slice, workers: int) -> list[np.ndarr
     return cols
 
 
-def run_sequence(config: SequenceConfig, workers: int = 1) -> RunResult:
-    """Run all shots of ``config``, sampling only the records s1 and s2 (see :func:`_sample`)."""
+def run_group(configs, workers: int = 1) -> list[RunResult]:
+    """The runs of ``configs``, which may differ only in mode, sampled together.
+
+    Configs with the same seed, shots, coupling, basis, loss and spread read
+    the same Philox windows and give the same s1, whatever their mode.  So
+    each chunk is drawn and transformed once for all of them, and the runs
+    share one read-only s1 column; each holds its own s2.  Every run equals
+    its own :func:`run_sequence` bit for bit.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("configs must be non-empty")
+    if len({replace(config, mode=MODES[0]) for config in configs}) > 1:
+        raise ValueError("the configs of a group may differ only in mode")
     _check_workers(workers)
-    return RunResult(config, *_sample(config, slice(0, 2), workers))
+    s1, *s2 = _sample(configs, ["s1", *(("s2", i) for i in range(len(configs)))], workers)
+    return [RunResult._sampled(config, s1, col) for config, col in zip(configs, s2)]
+
+
+def run_sequence(config: SequenceConfig, workers: int = 1) -> RunResult:
+    """Run all shots of ``config``: the one-config case of :func:`run_group`."""
+    (run,) = run_group([config], workers)
+    return run
 
 
 def _mix64(x: int) -> int:

@@ -32,8 +32,10 @@ bootstrap_ci keeps the values of every pass on the run, for its latest
 (seed, resamples), in a table that lives and dies with the run, so a later
 interval of any estimator in it, at any level, is two quantiles.
 
-The estimators read only a run's s1, s2 and config, and binned_conditional
-holds at most two run-sized temporaries, the moment pass's scratch columns.
+The estimators read only a run's s1, s2 and config.  variances holds one
+run-sized temporary, a scratch column that each of its four columns is
+formed, centred and squared in; binned_conditional holds at most two, the
+moment pass's scratch columns.
 """
 
 from __future__ import annotations
@@ -92,25 +94,33 @@ def _var(x: np.ndarray) -> np.ndarray:
 
 
 # The four variance estimators, shared by variances() and bootstrap_ci(): each
-# is Var(column) / divisor for a column formed from s1 and s2.
+# is Var(column) / divisor for a column formed from s1 and s2, into ``out``
+# when the column is a sum or difference and ``out`` is given.
 _VARIANCES = {
-    "sigma1": (lambda s1, s2: s1, 1.0),
-    "sigma2": (lambda s1, s2: s2, 1.0),
-    "sigma_plus": (lambda s1, s2: s1 + s2, 2.0),
-    "sigma_minus": (lambda s1, s2: s1 - s2, 2.0),
+    "sigma1": (lambda s1, s2, out=None: s1, 1.0),
+    "sigma2": (lambda s1, s2, out=None: s2, 1.0),
+    "sigma_plus": (lambda s1, s2, out=None: np.add(s1, s2, out=out), 2.0),
+    "sigma_minus": (lambda s1, s2, out=None: np.subtract(s1, s2, out=out), 2.0),
 }
 
 
 def variances(data: RunResult) -> VarianceSummary:
-    """Sigma_1, sigma_2 and the +/- correlation variances with standard errors."""
-    n = len(data.s1)
+    """Sigma_1, sigma_2 and the +/- correlation variances with standard errors.
+
+    Each column is formed, centred and squared in one scratch column, bit for
+    bit what ``np.var(column, ddof=1)`` gives, so the four need one temporary.
+    """
+    s1, s2 = data.s1, data.s2
+    n = len(s1)
     if n < 2:
         raise InsufficientDataError("need at least two shots")
     se_factor = math.sqrt(2.0 / (n - 1))
-    v = {
-        name: float(_var(column(data.s1, data.s2)) / divisor)
-        for name, (column, divisor) in _VARIANCES.items()
-    }
+    scratch = np.empty(n)
+    v = {}
+    for name, (column, divisor) in _VARIANCES.items():
+        x = column(s1, s2, out=scratch)
+        np.subtract(x, x.mean(), out=scratch)
+        v[name] = float(np.square(scratch, out=scratch).sum() / (n - 1) / divisor)
     return VarianceSummary(
         **v,
         se_sigma1=v["sigma1"] * se_factor,

@@ -28,7 +28,7 @@ from qndsim.harness import (
     resolve_kappa_grid,
     spec_from_mapping,
 )
-from qndsim.montecarlo import SequenceConfig, run_kappa_sweep, run_sequence, sweep_seed
+from qndsim.montecarlo import SequenceConfig, run_group, run_sequence, sweep_seed
 from qndsim.stats import bootstrap_ci
 
 SEED = 141421356
@@ -67,10 +67,10 @@ def make_spec(tmp_path, **overrides):
 def feed_lossy_runs(monkeypatch, eta=0.5):
     """Make the commands sample at ``eta`` whatever the spec says."""
 
-    def lossy(base, kappas, workers=1):
-        return run_kappa_sweep(replace(base, eta=eta), kappas, workers=workers)
+    def lossy(configs, workers=1):
+        return run_group([replace(config, eta=eta) for config in configs], workers=workers)
 
-    monkeypatch.setattr(harness, "run_kappa_sweep", lossy)
+    monkeypatch.setattr(harness, "run_group", lossy)
 
 
 def write_spec(tmp_path, **overrides) -> Path:
@@ -219,8 +219,8 @@ class TestJoint:
 
     def test_holds_one_run_at_a_time(self, tmp_path):
         # each panel's run is dropped before the next panel is sampled; the
-        # peak (about 4x one column) is one run's s1 and s2, the s1 +/- s2
-        # column that the variances form and its centred copy in np.var
+        # peak is one run's s1 and s2, the variances' scratch column and the
+        # writer's block
         # (100k shots: several chunks, and the traced CSV formatting stays short)
         spec = make_spec(tmp_path)
         spec = replace(spec, sequence=replace(spec.sequence, shots=100_000))
@@ -247,6 +247,33 @@ class TestVarianceSweep:
             assert abs(s1 - (1 + kappa**2) / 2) <= 3 * e1
             assert abs(sp - (1 + 2 * kappa**2) / 2) <= 3 * ep
             assert abs(sm - 0.5) <= 3 * em
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_holds_one_point_at_a_time(self, tmp_path, workers):
+        # a point's runs share one s1 and are dropped before the next point
+        # is sampled: the peak is s1, the two modes' s2 and the variances'
+        # scratch column, or those three columns and the sampler's chunks
+        # in flight (400k lossy shots transform 7 of the 8 slots)
+        spec = make_spec(tmp_path, kappa_grid=[0.3, 0.62])
+        spec = replace(spec, sequence=replace(
+            spec.sequence, shots=400_000, eta=0.8, atom_fluctuation=True, spin_rel_std=0.05
+        ))
+        column_bytes = 8 * spec.sequence.shots
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cmd_variance_sweep(spec, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * column_bytes
+
+    def test_modes_share_each_points_s1(self, tmp_path):
+        # common random numbers: point i of both modes runs on sweep_seed(seed, i)
+        fig = cmd_variance_sweep(make_spec(tmp_path))
+        qnd, reinit = (np.loadtxt(path, delimiter=",", skiprows=1) for path in fig.data_files)
+        assert np.array_equal(qnd[:, [0, 1, 5]], reinit[:, [0, 1, 5]])  # kappa, sigma1, se_sigma1
+        assert not np.array_equal(qnd[:, 2], reinit[:, 2])
 
     def test_single_mode_flag(self, tmp_path):
         spec = make_spec(tmp_path)
@@ -532,7 +559,7 @@ class TestCliEntry:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled")
 
-        monkeypatch.setattr(harness, "run_kappa_sweep", no_sampling)
+        monkeypatch.setattr(harness, "run_group", no_sampling)
         monkeypatch.setattr(harness, "run_sequence", no_sampling)
         sequence = {"mode": "qnd", "kappa_nominal": 1e160, "shots": 2600, "seed": SEED}
         path = write_spec(tmp_path, sequence=sequence, kappa_grid=[0.0, 1e160])

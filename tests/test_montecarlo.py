@@ -1,5 +1,6 @@
 """Tests for the shot sampler and its model: statistics, determinism, predict."""
 
+import functools
 import gc
 import itertools
 import math
@@ -26,11 +27,12 @@ from qndsim.montecarlo import (
     MIN_ATOM_FRACTION,
     RunResult,
     SequenceConfig,
-    _columns_from_uniforms,
+    _columns,
     _used_slots,
     mean_kappa_sq,
     ppnd16,
     predict,
+    run_group,
     run_kappa_sweep,
     run_sequence,
     sweep_seed,
@@ -44,6 +46,19 @@ def cfg(**kwargs) -> SequenceConfig:
     base = dict(mode="qnd", kappa_nominal=0.62, shots=2600, seed=SEED)
     base.update(kwargs)
     return SequenceConfig(**base)
+
+
+def eager_columns(config, u, slots=None):
+    """s1, s2, jz1, jz2 and kappa_shot of ``config`` from an (n, DRAWS_PER_SHOT) uniform block.
+
+    The block is taken in one piece: the uniforms of ``slots`` (by default
+    the config's used ones) are clipped and transformed as the sampler's
+    words are, and the column algebra runs on those normals alone.
+    """
+    slots = _used_slots(config) if slots is None else slots
+    z = dict(zip(slots, ppnd16(np.maximum(u.T[slots], np.finfo(float).tiny))))
+    columns = _columns([config], z)
+    return columns["s1"], columns["s2", 0], columns["jz1"], columns["jz2", 0], columns["kappa_shot"]
 
 
 def se_var(var, n):
@@ -192,7 +207,7 @@ class TestDeterminism:
                      shots=20000)
         run = run_sequence(config)
         assert set(vars(run)) == {"config", "s1", "s2"}
-        eager = _columns_from_uniforms(config, window_uniforms(SEED, 0, 20000))
+        eager = eager_columns(config, window_uniforms(SEED, 0, 20000))
         for name, column in zip(("s1", "s2", "jz1", "jz2", "kappa_shot"), eager):
             value = getattr(run, name)
             assert np.array_equal(value, column)
@@ -231,8 +246,9 @@ class TestDeterminism:
         u = window_uniforms(SEED, 0, 100)
         poisoned = u.copy()
         poisoned[:, [k for k in range(DRAWS_PER_SHOT) if k not in _used_slots(config)]] = np.nan
-        for a, b in zip(_columns_from_uniforms(config, u),
-                        _columns_from_uniforms(config, poisoned)):
+        # the algebra is handed every slot's normals, the poisoned ones too
+        for a, b in zip(eager_columns(config, u),
+                        eager_columns(config, poisoned, slots=list(range(DRAWS_PER_SHOT)))):
             assert np.array_equal(a, b)
 
     def test_default_point_runs_fast(self):
@@ -409,16 +425,97 @@ class TestSerialization:
 
     def test_result_keeps_its_own_columns(self):
         # run_sequence's columns own their data and are frozen as they are
-        # sampled, so they are kept, not copied; a view of another array is
-        # copied
+        # sampled, so they are kept, not copied; every column a caller passes
+        # in is copied, a frozen one that owns its data and a view alike
         result = run_sequence(cfg(shots=20))
         assert result.s1.base is None and not result.s1.flags.writeable
         twin = RunResult(result.config, result.s1, result.s2)
-        assert twin.s1 is result.s1 and twin.s2 is result.s2
+        for name in ("s1", "s2"):
+            mine, theirs = getattr(twin, name), getattr(result, name)
+            assert not np.shares_memory(mine, theirs) and np.array_equal(mine, theirs)
+            assert not mine.flags.writeable
         base = np.stack([result.s1, result.s2])
         viewed = RunResult(result.config, base[0], base[1])
         assert not np.shares_memory(viewed.s1, base) and not np.shares_memory(viewed.s2, base)
         assert not viewed.s1.flags.writeable and base.flags.writeable
+
+    def test_unfreezing_a_frozen_callers_array_changes_no_run(self):
+        # the caller still owns a frozen array it passed in, and may unfreeze
+        # and write it: the run holds a copy
+        a, b = np.linspace(-1.0, 1.0, 50), np.zeros(50)
+        a.setflags(write=False)
+        run = RunResult(cfg(shots=50), a, b)
+        a.setflags(write=True)
+        a *= 3
+        assert np.array_equal(run.s1, np.linspace(-1.0, 1.0, 50))
+        assert not np.shares_memory(run.s1, a)
+
+
+GROUP_VARIANTS = {
+    "lossless": {},
+    "eta0.8": {"eta": 0.8},
+    "spread0.05": {"atom_fluctuation": True, "spin_rel_std": 0.05},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def reference_run(mode, basis, variant, shots):
+    """run_sequence of one config, its atoms re-derived, at the default chunk size and one worker."""
+    run = run_sequence(cfg(mode=mode, basis=basis, shots=shots, **GROUP_VARIANTS[variant]))
+    run.jz1  # derives all three atoms' columns
+    return run
+
+
+class TestGroup:
+    """run_group: the runs of configs that differ only in mode, sampled together."""
+
+    @pytest.mark.parametrize("chunk, shots", [(1, 50), (3000, 20000), (8192, 20000)])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("variant", list(GROUP_VARIANTS))
+    @pytest.mark.parametrize("basis", ["y", "z"])
+    def test_each_run_is_its_own_run_sequence(self, monkeypatch, basis, variant, workers, chunk,
+                                              shots):
+        # every chunk size (one shot, a non-divisor of the shots and the
+        # default) and worker count gives each run of a group, and its
+        # re-derived atoms, bit for bit as run_sequence gives them alone
+        alone = {mode: reference_run(mode, basis, variant, shots) for mode in ("qnd", "reinit")}
+        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", chunk)
+        for modes in (["qnd", "reinit"], ["reinit", "qnd"]):
+            configs = [cfg(mode=mode, basis=basis, shots=shots, **GROUP_VARIANTS[variant])
+                       for mode in modes]
+            runs = run_group(configs, workers=workers)
+            assert [run.config for run in runs] == configs
+            assert runs[0].s1 is runs[1].s1
+            for run in runs:
+                for name in ("s1", "s2", "jz1", "jz2", "kappa_shot"):
+                    assert np.array_equal(getattr(run, name),
+                                          getattr(alone[run.config.mode], name)), name
+                    assert not getattr(run, name).flags.writeable
+
+    def test_runs_share_one_frozen_s1(self):
+        qnd_run, reinit_run = run_group([cfg(), cfg(mode="reinit")])
+        assert qnd_run.s1 is reinit_run.s1
+        assert qnd_run.s1.base is None and not qnd_run.s1.flags.writeable
+        assert qnd_run.s2 is not reinit_run.s2
+        assert set(vars(qnd_run)) == {"config", "s1", "s2"}
+
+    @pytest.mark.parametrize(
+        "other",
+        [{"seed": SEED + 1}, {"shots": 2601}, {"kappa_nominal": 0.3}, {"basis": "z"},
+         {"eta": 0.8}, {"atom_fluctuation": True, "spin_rel_std": 0.05}],
+    )
+    def test_configs_may_differ_only_in_mode(self, other):
+        with pytest.raises(ValueError, match="may differ only in mode"):
+            run_group([cfg(), cfg(mode="reinit", **other)])
+
+    def test_empty_group_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            run_group([])
+
+    @pytest.mark.parametrize("workers", [0, 1.5, True])
+    def test_workers_must_be_a_positive_integer(self, workers):
+        with pytest.raises(ValueError, match="workers must be a positive integer"):
+            run_group([cfg()], workers=workers)
 
 
 def loss(var, eta):

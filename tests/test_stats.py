@@ -103,6 +103,28 @@ class TestVariances:
         assert abs(lhs - rhs) <= 1e-9
 
 
+    def test_peak_memory(self):
+        # each of the four columns is formed, centred and squared in one
+        # scratch column: one temporary, where np.var of s1 + s2 takes two
+        data = noise_run(400_000)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            variances(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * data.s1.nbytes
+
+    def test_matches_np_var_bit_for_bit(self):
+        data = noise_run(10_001, seed=3)
+        s1, s2 = data.s1, data.s2
+        vs = variances(data)
+        assert vs.sigma1 == np.var(s1, ddof=1) and vs.sigma2 == np.var(s2, ddof=1)
+        assert vs.sigma_plus == np.var(s1 + s2, ddof=1) / 2.0
+        assert vs.sigma_minus == np.var(s1 - s2, ddof=1) / 2.0
+
+
 class TestBinnedConditional:
     def test_independent_conditioning_changes_nothing(self):
         cond = binned_conditional(run(kappa_nominal=0.0))
