@@ -30,8 +30,8 @@ sweep one grid point's: point ``i`` of every mode runs on
 their s1 (common random numbers), and the point's columns are s1 once plus
 each mode's s2.
 
-Exit codes: 0 success, 2 config error, 3 I/O error, 4 statistical check
-failure (with --check).
+Exit codes: 0 success, 2 config error (a shot count too large for memory
+included), 3 I/O error, 4 statistical check failure (with --check).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import numpy as np
 
 from . import stats
 from .montecarlo import (
-    SequenceConfig, _check_workers, predict, run_group, run_sequence, sweep_seed
+    SequenceConfig, predict, run_group, run_sequence, sweep_seed
 )
 from .physics import (
     SheetError,
@@ -76,7 +76,11 @@ class CheckFailure(Exception):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A named, fully resolved experiment: sequence settings plus a kappa grid."""
+    """A named, fully resolved experiment: sequence settings plus a kappa grid.
+
+    Every field is checked here, so a spec built in code is held to what a
+    spec file is; each grid is stored as a tuple.
+    """
 
     name: str
     sequence: SequenceConfig
@@ -86,6 +90,18 @@ class ExperimentSpec:
     outputs: str = "out"
 
     def __post_init__(self):
+        for key in ("kappa_grid", "photon_grid"):
+            grid = getattr(self, key)
+            if grid is None:
+                continue
+            if not isinstance(grid, (list, tuple)):
+                raise SpecError(f"{key} must be a list of finite numbers, got {grid!r}")
+            if not grid:
+                raise SpecError(f"{key} must be non-empty")
+            for value in grid:
+                if not is_finite_real(value):
+                    raise SpecError(f"{key} entries must be finite numbers, got {value!r}")
+            object.__setattr__(self, key, tuple(grid))
         # the name prefixes every file name, so it may not hold a path separator
         name = self.name
         if not isinstance(name, str) or not name or "/" in name or "\\" in name:
@@ -98,21 +114,6 @@ class ExperimentSpec:
             raise SpecError("kappa_grid and photon_grid are mutually exclusive")
         if self.photon_grid is not None and not self.physics_sheet:
             raise SpecError("photon_grid requires a physics_sheet")
-
-
-def _grid(raw: dict, key: str) -> tuple[float, ...] | None:
-    """The spec's ``key`` grid as a non-empty tuple of finite numbers, or None when absent."""
-    grid = raw.get(key)
-    if grid is None:
-        return None
-    if not isinstance(grid, (list, tuple)):
-        raise ValueError(f"{key} must be a list of finite numbers, got {grid!r}")
-    if not grid:
-        raise ValueError(f"{key} must be non-empty")
-    for value in grid:
-        if not is_finite_real(value):
-            raise ValueError(f"{key} entries must be finite numbers, got {value!r}")
-    return tuple(grid)
 
 
 def spec_from_mapping(raw: dict, source: str = "<spec>") -> ExperimentSpec:
@@ -130,18 +131,15 @@ def spec_from_mapping(raw: dict, source: str = "<spec>") -> ExperimentSpec:
     if bad:
         raise SpecError(f"{source}: unknown sequence key(s) {sorted(bad)}")
     try:
-        sequence = SequenceConfig(**seq_raw)
         return ExperimentSpec(
             name=raw.get("name", ""),
             physics_sheet=raw.get("physics_sheet"),
-            sequence=sequence,
-            kappa_grid=_grid(raw, "kappa_grid"),
-            photon_grid=_grid(raw, "photon_grid"),
+            sequence=SequenceConfig(**seq_raw),
+            kappa_grid=raw.get("kappa_grid"),
+            photon_grid=raw.get("photon_grid"),
             outputs=raw.get("outputs", "out"),
         )
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, SpecError):
-            raise
         raise SpecError(f"{source}: {exc}") from exc
 
 
@@ -416,12 +414,11 @@ def cmd_joint(spec: ExperimentSpec, workers: int = 1) -> FigureBundle:
     }
     for cfg in panels.values():  # a config the model cannot take raises before any file
         predict(cfg)
-    _check_workers(workers)  # and so does a bad ``workers``
-    outdir = _outdir(spec)
     data = {}
     summary = {"config": asdict(seq), "panels": {}}
     for panel, cfg in panels.items():
         result = run_sequence(cfg, workers=workers)
+        outdir = _outdir(spec)  # made once a run is sampled: a sampling error leaves none
         path = outdir / f"{spec.name}_joint_{panel}.csv"
         data[path] = _write_csv(path, "s1,s2", (result.s1, result.s2))
         vs = stats.variances(result)
@@ -466,24 +463,21 @@ def _sweep(spec, stem, modes, point, theory, header, theory_header, check, worke
     SE, model target) tuple feeding both its table columns and ``--check``,
     and its unchecked extra columns: a row is kappa, the estimates, the
     extras, then the SEs.  ``theory(config)`` gives a theory row after kappa.
-    Every model runs, and the grid and ``workers`` are checked, before the
-    output directory is created.  The grid is walked point by point: point
-    ``i`` runs every mode on ``sweep_seed(seed, i)``, so its runs share their
-    Philox windows and are sampled together by :func:`run_group`.  The rows
-    and failures are kept per mode, so the files and the failure text follow
-    the mode order.  The manifest is written before a :class:`CheckFailure`
-    is raised.
+    Every model runs before any run is sampled, and the output directory is
+    created once the whole grid is summarised, so an error while sampling or
+    estimating, a bad ``workers`` included, leaves no directory behind.
+    The grid is walked point by point: point ``i`` runs every mode on
+    ``sweep_seed(seed, i)``, so its runs share their Philox windows and are
+    sampled together by :func:`run_group`.  The rows and failures are kept
+    per mode, so the files and the failure text follow the mode order.  The
+    manifest is written before a :class:`CheckFailure` is raised.
     """
     grid = resolve_kappa_grid(spec)
-    if not grid:
-        raise ValueError("the kappa grid must be non-empty")
     bases = [replace(spec.sequence, mode=mode or spec.sequence.mode) for mode in modes]
     models = [[predict(replace(base, kappa_nominal=kappa)) for kappa in grid] for base in bases]
-    _check_workers(workers)
     theory_rows = [
         (k, *theory(replace(spec.sequence, kappa_nominal=float(k)))) for k in _theory_kappas(grid)
     ]
-    outdir = _outdir(spec)
     tags = [[mode] if mode else [] for mode in modes]
     rows = [[] for _ in modes]
     failures = [[] for _ in modes]
@@ -504,6 +498,7 @@ def _sweep(spec, stem, modes, point, theory, header, theory_header, check, worke
             mode_rows.append((kappa, *values, *extra, *ses))
             if check:
                 mode_failures += _band_failures(" ".join([*tag, f"kappa={kappa:g}"]), statistics)
+    outdir = _outdir(spec)
     data = {}
     for tag, mode_rows in zip(tags, rows):
         path = outdir / ("_".join([spec.name, stem, *tag]) + ".csv")
@@ -628,7 +623,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 4
-    except (SpecError, SheetError, ValueError) as exc:
+    except (SpecError, SheetError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

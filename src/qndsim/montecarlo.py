@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 import numbers
 from collections import deque
-from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -396,11 +395,6 @@ def _columns(configs: list[SequenceConfig], z: dict[int, np.ndarray]) -> dict:
     return columns
 
 
-def _check_workers(workers) -> None:
-    if not is_positive_int(workers):
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
-
-
 def _sample(configs: list[SequenceConfig], keys: list, workers: int) -> list[np.ndarray]:
     """The ``keys`` columns of :func:`_columns` over all shots of the group ``configs``.
 
@@ -446,7 +440,8 @@ def run_group(configs, workers: int = 1) -> list[RunResult]:
         raise ValueError("configs must be non-empty")
     if len({replace(config, mode=MODES[0]) for config in configs}) > 1:
         raise ValueError("the configs of a group may differ only in mode")
-    _check_workers(workers)
+    if not is_positive_int(workers):
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     s1, *s2 = _sample(configs, ["s1", *(("s2", i) for i in range(len(configs)))], workers)
     return [RunResult._sampled(config, s1, col) for config, col in zip(configs, s2)]
 
@@ -468,23 +463,3 @@ def _mix64(x: int) -> int:
 def sweep_seed(base_seed: int, index: int) -> int:
     """Derived seed for sweep point ``index``: independent and reproducible."""
     return (base_seed ^ _mix64(index)) & _U64
-
-
-def run_kappa_sweep(
-    base_config: SequenceConfig, kappa_values, workers: int = 1
-) -> Iterator[RunResult]:
-    """One run per coupling value, each on its own derived seed.
-
-    The grid, every point's configuration and ``workers`` are checked now;
-    the runs are sampled one at a time as the returned iterator is consumed,
-    so a caller that summarises each run before taking the next holds a
-    single run's columns.
-    """
-    configs = [
-        replace(base_config, kappa_nominal=kappa, seed=sweep_seed(base_config.seed, i))
-        for i, kappa in enumerate(kappa_values)
-    ]
-    if not configs:
-        raise ValueError("kappa_values must be non-empty")
-    _check_workers(workers)
-    return (run_sequence(config, workers=workers) for config in configs)

@@ -53,6 +53,52 @@ LOSSY_FAILURES = {
 }
 
 
+# (sequence keys, top-level keys, error message) of a spec that is rejected
+NAME_ERROR = "name must be a non-empty string without '/' or '\\', got"
+MISTYPED_SPEC_VALUES = [
+    pytest.param({"shots": 2600.5}, {}, "shots must be an integer, got 2600.5", id="float_shots"),
+    pytest.param({"seed": 1.5}, {}, "seed must be an integer, got 1.5", id="float_seed"),
+    pytest.param({"shots": True}, {}, "shots must be an integer, got True", id="bool_shots"),
+    pytest.param({"atom_fluctuation": 1}, {}, "atom_fluctuation must be a boolean, got 1",
+                 id="int_flag"),
+    pytest.param({"kappa_nominal": "0.62"}, {},
+                 "kappa_nominal must be a finite number, got '0.62'", id="str_kappa"),
+    pytest.param({"eta": math.nan}, {}, "eta must be a finite number, got nan", id="nan_eta"),
+    pytest.param({"spin_rel_std": math.inf}, {}, "spin_rel_std must be a finite number, got inf",
+                 id="inf_spread"),
+    pytest.param({}, {"kappa_grid": ["0.3"]},
+                 "kappa_grid entries must be finite numbers, got '0.3'", id="str_grid"),
+    pytest.param({}, {"kappa_grid": [0.3, math.nan]},
+                 "kappa_grid entries must be finite numbers, got nan", id="nan_grid"),
+    pytest.param({}, {"kappa_grid": None, "physics_sheet": "yb171", "photon_grid": [1e6, False]},
+                 "photon_grid entries must be finite numbers, got False", id="bool_photons"),
+    pytest.param({}, {"kappa_grid": "abc"},
+                 "kappa_grid must be a list of finite numbers, got 'abc'", id="string_grid"),
+    pytest.param({}, {"kappa_grid": {"a": 1}},
+                 "kappa_grid must be a list of finite numbers, got {'a': 1}", id="object_grid"),
+    pytest.param({}, {"kappa_grid": 3}, "kappa_grid must be a list of finite numbers, got 3",
+                 id="scalar_grid"),
+    pytest.param({}, {"kappa_grid": None, "physics_sheet": "yb171", "photon_grid": 3.2e6},
+                 "photon_grid must be a list of finite numbers, got 3200000.0",
+                 id="scalar_photons"),
+    pytest.param({"kappa_nominal": BIG}, {}, f"kappa_nominal must be a finite number, got {BIG}",
+                 id="huge_kappa"),
+    pytest.param({}, {"kappa_grid": [0.3, BIG]},
+                 f"kappa_grid entries must be finite numbers, got {BIG}", id="huge_grid"),
+    pytest.param({}, {"kappa_grid": []}, "kappa_grid must be non-empty", id="empty_grid"),
+    pytest.param({}, {"kappa_grid": None, "physics_sheet": "yb171", "photon_grid": []},
+                 "photon_grid must be non-empty", id="empty_photons"),
+    pytest.param({}, {"kappa_grid": None, "physics_sheet": 5, "photon_grid": [1e6]},
+                 "physics_sheet must be a string or null, got 5", id="int_sheet"),
+    pytest.param({}, {"kappa_grid": None, "physics_sheet": ["yb171"], "photon_grid": [1e6]},
+                 "physics_sheet must be a string or null, got ['yb171']", id="list_sheet"),
+    pytest.param({}, {"name": None}, f"{NAME_ERROR} None", id="null_name"),
+    pytest.param({}, {"name": "../escaped"}, f"{NAME_ERROR} '../escaped'", id="escaping_name"),
+    pytest.param({}, {"name": "a/b"}, f"{NAME_ERROR} 'a/b'", id="nested_name"),
+    pytest.param({}, {"name": "a\\b"}, f"{NAME_ERROR} 'a\\\\b'", id="backslash_name"),
+    pytest.param({}, {"outputs": None}, "outputs must be a string, got None", id="null_outputs"),
+]
+
 def make_spec(tmp_path, **overrides):
     raw = {
         "name": "t",
@@ -490,49 +536,7 @@ class TestCliEntry:
         bad.write_text("{")
         assert main(["sweep", "--spec", str(bad)]) == 2
 
-    @pytest.mark.parametrize(
-        "sequence, grids, message",
-        [
-            ({"shots": 2600.5}, {}, "shots must be an integer, got 2600.5"),
-            ({"seed": 1.5}, {}, "seed must be an integer, got 1.5"),
-            ({"shots": True}, {}, "shots must be an integer, got True"),
-            ({"atom_fluctuation": 1}, {}, "atom_fluctuation must be a boolean, got 1"),
-            ({"kappa_nominal": "0.62"}, {}, "kappa_nominal must be a finite number, got '0.62'"),
-            ({"eta": math.nan}, {}, "eta must be a finite number, got nan"),
-            ({"spin_rel_std": math.inf}, {}, "spin_rel_std must be a finite number, got inf"),
-            ({}, {"kappa_grid": ["0.3"]}, "kappa_grid entries must be finite numbers, got '0.3'"),
-            ({}, {"kappa_grid": [0.3, math.nan]}, "kappa_grid entries must be finite numbers, got nan"),
-            ({}, {"kappa_grid": None, "physics_sheet": "yb171", "photon_grid": [1e6, False]},
-             "photon_grid entries must be finite numbers, got False"),
-            ({}, {"kappa_grid": "abc"}, "kappa_grid must be a list of finite numbers, got 'abc'"),
-            ({}, {"kappa_grid": {"a": 1}},
-             "kappa_grid must be a list of finite numbers, got {'a': 1}"),
-            ({}, {"kappa_grid": 3}, "kappa_grid must be a list of finite numbers, got 3"),
-            ({}, {"kappa_grid": None, "physics_sheet": "yb171", "photon_grid": 3.2e6},
-             "photon_grid must be a list of finite numbers, got 3200000.0"),
-            ({"kappa_nominal": BIG}, {}, f"kappa_nominal must be a finite number, got {BIG}"),
-            ({}, {"kappa_grid": [0.3, BIG]}, f"kappa_grid entries must be finite numbers, got {BIG}"),
-            ({}, {"kappa_grid": []}, "kappa_grid must be non-empty"),
-            ({}, {"kappa_grid": None, "physics_sheet": "yb171", "photon_grid": []},
-             "photon_grid must be non-empty"),
-            ({}, {"kappa_grid": None, "physics_sheet": 5, "photon_grid": [1e6]},
-             "physics_sheet must be a string or null, got 5"),
-            ({}, {"kappa_grid": None, "physics_sheet": ["yb171"], "photon_grid": [1e6]},
-             "physics_sheet must be a string or null, got ['yb171']"),
-            ({}, {"name": None}, "name must be a non-empty string without '/' or '\\', got None"),
-            ({}, {"name": "../escaped"},
-             "name must be a non-empty string without '/' or '\\', got '../escaped'"),
-            ({}, {"name": "a/b"}, "name must be a non-empty string without '/' or '\\', got 'a/b'"),
-            ({}, {"name": "a\\b"},
-             "name must be a non-empty string without '/' or '\\', got 'a\\\\b'"),
-            ({}, {"outputs": None}, "outputs must be a string, got None"),
-        ],
-        ids=["float_shots", "float_seed", "bool_shots", "int_flag", "str_kappa", "nan_eta",
-             "inf_spread", "str_grid", "nan_grid", "bool_photons", "string_grid",
-             "object_grid", "scalar_grid", "scalar_photons", "huge_kappa", "huge_grid",
-             "empty_grid", "empty_photons", "int_sheet", "list_sheet", "null_name",
-             "escaping_name", "nested_name", "backslash_name", "null_outputs"],
-    )
+    @pytest.mark.parametrize("sequence, grids, message", MISTYPED_SPEC_VALUES)
     def test_mistyped_spec_values_exit_2(
         self, tmp_path, monkeypatch, capsys, sequence, grids, message
     ):
@@ -540,8 +544,7 @@ class TestCliEntry:
         base = {"mode": "qnd", "kappa_nominal": 0.62, "shots": 2600, "seed": SEED}
         path = write_spec(tmp_path, sequence={**base, **sequence}, **grids)
         assert main(["sweep", "--spec", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert list(tmp_path.iterdir()) == [path]  # nothing written, inside or out
 
     @pytest.mark.parametrize("command", ["joint", "sweep", "conditional"])
@@ -567,6 +570,27 @@ class TestCliEntry:
         assert main([command, "--spec", str(path), *check]) == 2
         assert capsys.readouterr().err == "error: kappa=1e+160: the model overflows float64\n"
         assert list((tmp_path / "out").glob("*")) == []
+        assert not (tmp_path / "out").exists()
+
+    def test_estimator_error_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "D"
+        path = write_spec(tmp_path)
+        assert main(["conditional", "--spec", str(path), "--shots", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: need at least three shots to condition\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, sampler",
+        [("joint", "run_sequence"), ("sweep", "run_group"), ("conditional", "run_group")],
+    )
+    def test_memory_error_exit_2(self, tmp_path, monkeypatch, capsys, command, sampler):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(harness, sampler, out_of_memory)
+        path = write_spec(tmp_path)
+        assert main([command, "--spec", str(path)]) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 72.8 TiB for an array\n"
         assert not (tmp_path / "out").exists()
 
     def test_io_error_exit_code(self, tmp_path):
@@ -616,6 +640,21 @@ class TestSpecTypes:
         seq = SequenceConfig(mode="qnd", kappa_nominal=0.3)
         with pytest.raises(SpecError):
             ExperimentSpec(name="x", sequence=seq, kappa_grid=(0.1,), photon_grid=(1.0,))
+
+    @pytest.mark.parametrize(
+        "sequence, fields, message", [row for row in MISTYPED_SPEC_VALUES if not row.values[0]]
+    )
+    def test_direct_construction_checks_values(self, sequence, fields, message):
+        # a spec built in code is held to what a spec file is, message for message
+        seq = SequenceConfig(mode="qnd", kappa_nominal=0.3)
+        with pytest.raises(SpecError) as info:
+            ExperimentSpec(**{"name": "x", "sequence": seq, "kappa_grid": (0.1,), **fields})
+        assert str(info.value) == message
+
+    def test_grids_are_stored_as_tuples(self):
+        seq = SequenceConfig(mode="qnd", kappa_nominal=0.3)
+        spec = ExperimentSpec(name="x", sequence=seq, kappa_grid=[0.0, 0.3])
+        assert spec.kappa_grid == (0.0, 0.3)
 
 
 class TestCsvWriter:

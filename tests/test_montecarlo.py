@@ -33,7 +33,6 @@ from qndsim.montecarlo import (
     ppnd16,
     predict,
     run_group,
-    run_kappa_sweep,
     run_sequence,
     sweep_seed,
     window_uniforms,
@@ -307,39 +306,24 @@ def test_import_loads_no_scipy():
 
 
 class TestSweep:
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            run_kappa_sweep(cfg(), [])
+    """Point ``i`` of a sweep runs on ``sweep_seed(seed, i)``."""
 
-    @pytest.mark.parametrize("workers", [0, 1.5, True])
-    def test_workers_checked_at_call(self, workers):
-        with pytest.raises(ValueError, match="workers must be a positive integer"):
-            run_kappa_sweep(cfg(), [0.1], workers=workers)
-
-    def test_runs_are_sampled_as_iterated(self, monkeypatch):
-        calls = []
-
-        def counting(config, workers=1):
-            calls.append(config.kappa_nominal)
-            return run_sequence(config, workers=workers)
-
-        monkeypatch.setattr(montecarlo, "run_sequence", counting)
-        runs =run_kappa_sweep(cfg(shots=100), [0.1, 0.2, 0.3])
-        assert calls == []
-        assert next(runs).config.kappa_nominal == 0.1
-        assert calls == [0.1]
-        assert [r.config.kappa_nominal for r in runs] == [0.2, 0.3]
-        assert calls == [0.1, 0.2, 0.3]
+    @staticmethod
+    def sweep(base, grid):
+        return [
+            run_sequence(replace(base, kappa_nominal=kappa, seed=sweep_seed(base.seed, i)))
+            for i, kappa in enumerate(grid)
+        ]
 
     def test_zero_point_is_shot_noise(self):
-        (res,) = run_kappa_sweep(cfg(), [0.0])
+        (res,) = self.sweep(cfg(), [0.0])
         n = len(res)
         for col in (res.s1, res.s2):
             assert abs(np.var(col, ddof=1) - 0.5) <= 3 * se_var(0.5, n)
 
     def test_trend_over_grid(self):
         grid = [0.0, 0.12, 0.25, 0.37, 0.5, 0.62]
-        results = list(run_kappa_sweep(cfg(shots=5000), grid))
+        results = self.sweep(cfg(shots=5000), grid)
         sig1 = [np.var(r.s1, ddof=1) for r in results]
         plus = [np.var(r.s1 + r.s2, ddof=1) / 2 for r in results]
         minus = [np.var(r.s1 - r.s2, ddof=1) / 2 for r in results]
@@ -352,8 +336,8 @@ class TestSweep:
             assert abs(m - 0.5) <= 3 * se_var(0.5, n)
 
     def test_per_point_seeds_differ_and_reproduce(self):
-        first = list(run_kappa_sweep(cfg(shots=100), [0.3, 0.3]))
-        again = list(run_kappa_sweep(cfg(shots=100), [0.3, 0.3]))
+        first = self.sweep(cfg(shots=100), [0.3, 0.3])
+        again = self.sweep(cfg(shots=100), [0.3, 0.3])
         assert not np.array_equal(first[0].s1, first[1].s1)
         assert np.array_equal(first[0].s1, again[0].s1)
         assert first[0].config.seed == sweep_seed(SEED, 0)
