@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -395,14 +396,23 @@ def _columns(configs: list[SequenceConfig], z: dict[int, np.ndarray]) -> dict:
     return columns
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _sample(configs: list[SequenceConfig], keys: list, workers: int) -> list[np.ndarray]:
     """The ``keys`` columns of :func:`_columns` over all shots of the group ``configs``.
 
     Each chunk's windows are drawn once for the whole group, the union of the
     configs' used slots is transformed once, and the chunk is sampled straight
-    into its slice of the columns.  With ``workers`` and the chunk count both
-    above one, a thread pool fills the chunks, else they are filled in turn;
-    the columns are the same either way, and are returned read-only.
+    into its slice of the columns.  A pool of min(``workers``, chunks, usable
+    CPUs) threads fills the chunks when that is above one, else they are
+    filled in turn; the columns are the same either way, and are returned
+    read-only.
     """
     shots, seed = configs[0].shots, configs[0].seed
     slots = sorted(set().union(*map(_used_slots, configs)))
@@ -415,9 +425,10 @@ def _sample(configs: list[SequenceConfig], keys: list, workers: int) -> list[np.
             col[start:stop] = chunk[key]
 
     starts = range(0, shots, _CHUNK_SHOTS)
+    threads = min(workers, len(starts), _usable_cpus())
     # consuming either map fills every chunk and re-raises a chunk's error
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             deque(pool.map(fill, starts), maxlen=0)
     else:
         deque(map(fill, starts), maxlen=0)
@@ -433,7 +444,9 @@ def run_group(configs, workers: int = 1) -> list[RunResult]:
     the same Philox windows and give the same s1, whatever their mode.  So
     each chunk is drawn and transformed once for all of them, and the runs
     share one read-only s1 column; each holds its own s2.  Every run equals
-    its own :func:`run_sequence` bit for bit.
+    its own :func:`run_sequence` bit for bit.  ``workers`` caps the threads
+    that fill the shot chunks; no more run than there are chunks or usable
+    CPUs, and the runs do not depend on the count.
     """
     configs = list(configs)
     if not configs:

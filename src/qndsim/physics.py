@@ -9,6 +9,11 @@ seconds.
 The mean photon number per pulse and the atom number enter only through the
 spin lengths S = photons/2 and J = atoms/2; S is always computed from the
 photon number, never stored separately.
+
+The module runs on the standard library alone, so it also holds the number
+rules every other module shares: the tests each spec and sheet value passes,
+and the ``%.9g`` form of every number the CLI writes or prints, which the
+NumPy-free ``qnd kappa`` and the figure commands both use.
 """
 
 from __future__ import annotations
@@ -44,6 +49,20 @@ def is_finite_real(value) -> bool:
 def is_positive_int(value) -> bool:
     """True for an integer of at least 1; bool is not an integer here."""
     return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
+
+
+_FMT = "%.9g"  # every number the CLI writes or prints
+
+
+def _json_ready(obj):
+    """``obj`` with every float rounded to its ``%.9g`` value, for JSON output."""
+    if isinstance(obj, float):
+        return float(_FMT % obj)
+    if isinstance(obj, dict):
+        return {k: _json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(v) for v in obj]
+    return obj
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qndsim.figures import cmd_variance_sweep, spec_from_mapping
 from qndsim.gaussian_core import (
     ATOM,
     apply_loss,
@@ -21,7 +22,7 @@ from qndsim.gaussian_core import (
     pulse,
     qnd_map,
 )
-from qndsim.harness import cmd_variance_sweep, main, spec_from_mapping
+from qndsim.harness import main
 from qndsim.montecarlo import SequenceConfig, run_sequence
 from qndsim.physics import kappa_from_angle, load_sheet, coupling_strength, loss_parameter
 from qndsim.stats import binned_conditional, bootstrap_ci, squeezing_db, variances

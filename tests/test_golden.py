@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qndsim.harness import (
+from qndsim.figures import (
     cmd_conditional_sweep,
     cmd_joint,
     cmd_variance_sweep,

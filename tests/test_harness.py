@@ -1,9 +1,12 @@
-"""Tests for the CLI harness: specs, figure bundles, manifests, exit codes."""
+"""Tests for the CLI and the figure commands: specs, figure bundles, manifests, exit codes."""
 
 import gc
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from importlib import resources
@@ -14,20 +17,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qndsim import harness
-from qndsim.harness import (
+import qndsim
+from qndsim import figures
+from qndsim.figures import (
     CheckFailure,
     ExperimentSpec,
     SpecError,
     cmd_conditional_sweep,
     cmd_joint,
-    cmd_kappa,
     cmd_variance_sweep,
     load_spec,
-    main,
     resolve_kappa_grid,
     spec_from_mapping,
 )
+from qndsim.harness import cmd_kappa, main
 from qndsim.montecarlo import SequenceConfig, run_group, run_sequence, sweep_seed
 from qndsim.stats import bootstrap_ci
 
@@ -116,7 +119,7 @@ def feed_lossy_runs(monkeypatch, eta=0.5):
     def lossy(configs, workers=1):
         return run_group([replace(config, eta=eta) for config in configs], workers=workers)
 
-    monkeypatch.setattr(harness, "run_group", lossy)
+    monkeypatch.setattr(figures, "run_group", lossy)
 
 
 def write_spec(tmp_path, **overrides) -> Path:
@@ -133,6 +136,29 @@ def write_spec(tmp_path, **overrides) -> Path:
 
 
 class TestKappaCommand:
+    @pytest.mark.parametrize(
+        "extra, stdout",
+        [
+            ([], "sheet    yb171  (photons = 3200000)\n"
+                 "kappa    -0.635684603\n"
+                 "phi      -0.146518062 rad\n"
+                 "epsilon  0.093\n"
+                 "check    kappa from phi = -0.635684603 (|diff| = 0)\n"),
+            (["--json"], '{\n "sheet": "yb171",\n "photons": 3200000.0,\n'
+                         ' "kappa": -0.635684603,\n "phi_rad": -0.146518062,\n'
+                         ' "epsilon": 0.093,\n "kappa_from_phi": -0.635684603,\n'
+                         ' "phi_consistency_abs": 0.0\n}\n'),
+        ],
+        ids=["text", "json"],
+    )
+    def test_yb171_stdout_is_pinned(self, extra, stdout):
+        src = str(Path(qndsim.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qndsim.harness", "kappa", "--sheet", "yb171", *extra],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
+
     def test_operating_point(self, capsys):
         report = cmd_kappa("yb171", photons=3.2e6)
         assert abs(abs(report["kappa"]) - 0.62) <= 0.062
@@ -395,7 +421,7 @@ class TestCheckBand:
             ("nan_target", 0.5, 0.01, math.nan),
             ("inside", 0.52, 0.01, 0.5),
         ]
-        failures = harness._band_failures("kappa=1", points)
+        failures = figures._band_failures("kappa=1", points)
         assert [f.split("=")[1] for f in failures] == [
             "1: nan_value", "1: inf_value", "1: nan_se", "1: inf_se", "1: nan_target"
         ]
@@ -562,8 +588,8 @@ class TestCliEntry:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled")
 
-        monkeypatch.setattr(harness, "run_group", no_sampling)
-        monkeypatch.setattr(harness, "run_sequence", no_sampling)
+        monkeypatch.setattr(figures, "run_group", no_sampling)
+        monkeypatch.setattr(figures, "run_sequence", no_sampling)
         sequence = {"mode": "qnd", "kappa_nominal": 1e160, "shots": 2600, "seed": SEED}
         path = write_spec(tmp_path, sequence=sequence, kappa_grid=[0.0, 1e160])
         check = [] if command == "joint" else ["--check"]
@@ -587,7 +613,7 @@ class TestCliEntry:
         def out_of_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 72.8 TiB for an array")
 
-        monkeypatch.setattr(harness, sampler, out_of_memory)
+        monkeypatch.setattr(figures, sampler, out_of_memory)
         path = write_spec(tmp_path)
         assert main([command, "--spec", str(path)]) == 2
         assert capsys.readouterr().err == "error: Unable to allocate 72.8 TiB for an array\n"
@@ -667,7 +693,7 @@ class TestCsvWriter:
 
     def assert_same_bytes(self, tmp_path, rows, header="a"):
         path = tmp_path / "table.csv"
-        digest = harness._write_csv(path, header, list(zip(*rows)))
+        digest = figures._write_csv(path, header, list(zip(*rows)))
         written = path.read_bytes()
         assert written == self.reference(header, rows)
         assert digest == hashlib.sha256(written).hexdigest()
@@ -706,7 +732,7 @@ class TestCsvWriter:
 
     def test_tables_longer_than_a_block(self, tmp_path):
         # two full blocks of rows and a partial one, each its own % operation
-        n = 2 * harness._BLOCK_ROWS + 37
+        n = 2 * figures._BLOCK_ROWS + 37
         rows = np.random.default_rng(5).normal(scale=1e3, size=(n, 3)).tolist()
         self.assert_same_bytes(tmp_path, rows, header="x,y,z")
 
@@ -732,9 +758,9 @@ class TestCsvWriter:
         edges = np.concatenate([switch, near_powers.ravel(), carry_and_zeros])
         edges = np.concatenate([edges, -edges])
         # after one full block, so the edges land in a partial last block
-        filler = np.random.default_rng(17).normal(size=2 * harness._BLOCK_ROWS)
+        filler = np.random.default_rng(17).normal(size=2 * figures._BLOCK_ROWS)
         table = np.concatenate([filler, edges]).reshape(-1, 2)
-        assert len(table) % harness._BLOCK_ROWS
+        assert len(table) % figures._BLOCK_ROWS
         self.assert_same_bytes(tmp_path, table.tolist(), header="x,y")
 
     def test_peak_memory_is_one_block(self, tmp_path):
@@ -746,7 +772,7 @@ class TestCsvWriter:
         gc.collect()
         tracemalloc.start()
         try:
-            harness._write_csv(tmp_path / "table.csv", "s1,s2", columns)
+            figures._write_csv(tmp_path / "table.csv", "s1,s2", columns)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

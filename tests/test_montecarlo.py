@@ -171,7 +171,8 @@ class TestDeterminism:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_worker_count_does_not_matter(self, workers):
+    def test_worker_count_does_not_matter(self, monkeypatch, workers):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)  # a pool on any host
         base = run_sequence(cfg(shots=20000))
         other = run_sequence(cfg(shots=20000), workers=workers)
         for name in ("s1", "s2", "jz1", "jz2", "kappa_shot"):
@@ -181,6 +182,41 @@ class TestDeterminism:
     def test_workers_must_be_a_positive_integer(self, workers):
         with pytest.raises(ValueError, match="workers must be a positive integer"):
             run_sequence(cfg(shots=20000), workers=workers)
+
+    @pytest.mark.parametrize(
+        "workers, chunks, cpus, threads",
+        [(16, 40, 2, 2), (16, 3, 8, 3), (2, 40, 8, 2), (16, 40, 1, None), (4, 1, 8, None)],
+        ids=["cpus", "chunks", "workers", "one_cpu", "one_chunk"],
+    )
+    def test_pool_is_capped_by_chunks_and_cpus(self, monkeypatch, workers, chunks, cpus, threads):
+        pools = []
+
+        class RecordingPool:  # records its size and fills the chunks in turn
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 100)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        config = cfg(shots=100 * chunks)
+        serial = run_sequence(config)
+        run = run_sequence(config, workers=workers)
+        assert pools == ([] if threads is None else [threads])
+        assert np.array_equal(run.s1, serial.s1) and np.array_equal(run.s2, serial.s2)
+
+    def test_usable_cpus(self, monkeypatch):
+        assert 1 <= montecarlo._usable_cpus() <= os.cpu_count()
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # as on macOS and Windows
+        assert montecarlo._usable_cpus() == os.cpu_count()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory_is_one_copy_of_the_columns(self, workers):
@@ -298,7 +334,15 @@ class TestPpnd16:
 
 
 def test_import_loads_no_scipy():
-    code = "import sys, qndsim; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # the package namespace is lazy, so every module is imported by name
+    modules = ", ".join(
+        f"qndsim.{name}"
+        for name in ("harness", "figures", "stats", "montecarlo", "gaussian_core", "physics")
+    )
+    code = (
+        f"import sys, {modules}; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     src = str(Path(qndsim.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
