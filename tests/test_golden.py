@@ -16,9 +16,11 @@ The bootstrap intervals are ``float.hex`` of ``bootstrap_ci`` for every
 estimator, recorded with the resample-at-a-time loop and one pass per
 estimator, before the blocked evaluation and the shared pass replaced them;
 the 16 of ``sigma_cond`` and ``conditioning_gain`` were re-recorded with the
-regression residual, the 32 others were not touched.  37 resamples leave a
+regression residual, and 12 of the 16 of ``sigma_plus`` and ``sigma_minus``,
+each end by at most 2 ulps, when sigma_+/- became (v1 + v2 +/- 2c)/2 of the
+one moment pass; the 20 others were not touched.  37 resamples leave a
 partial last block at both shot counts.  Each interval is taken on a fresh
-run, since ``bootstrap_ci`` memoises its values per run.
+run, since ``bootstrap_ci`` memoises each run's resampled moments.
 """
 
 import functools
@@ -28,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.random import Generator
 
 from qndsim.figures import (
     cmd_conditional_sweep,
@@ -117,49 +120,49 @@ BOOTSTRAP_INTERVALS = {
     ("lossless", 2600, 1000, "sigma1"): ("0x1.64847e21b00bbp-1", "0x1.793b58cb0dc54p-1"),
     ("lossless", 2600, 1000, "sigma2"): ("0x1.4eebdc4fd300fp-1", "0x1.6121e4855d42dp-1"),
     ("lossless", 2600, 1000, "sigma_cond"): ("0x1.3215636ffd75ep-1", "0x1.42cc2e6eba5b9p-1"),
-    ("lossless", 2600, 1000, "sigma_minus"): ("0x1.e9323a2164f5dp-2", "0x1.021ec70419293p-1"),
-    ("lossless", 2600, 1000, "sigma_plus"): ("0x1.bed87ecc38718p-1", "0x1.d782c552e4793p-1"),
+    ("lossless", 2600, 1000, "sigma_minus"): ("0x1.e9323a2164f5ep-2", "0x1.021ec70419294p-1"),
+    ("lossless", 2600, 1000, "sigma_plus"): ("0x1.bed87ecc38718p-1", "0x1.d782c552e4792p-1"),
     ("lossless", 2600, 37, "conditioning_gain"): ("0x1.8d878b2675fa7p-5", "0x1.13d79243cbbfep-4"),
     ("lossless", 2600, 37, "sigma1"): ("0x1.6814a71df7891p-1", "0x1.79385fda9bbccp-1"),
     ("lossless", 2600, 37, "sigma2"): ("0x1.509f3a5bad6f1p-1", "0x1.6203b677f5ab1p-1"),
     ("lossless", 2600, 37, "sigma_cond"): ("0x1.3462777d41b2dp-1", "0x1.41ee44d2babbfp-1"),
-    ("lossless", 2600, 37, "sigma_minus"): ("0x1.eba9d244b37f7p-2", "0x1.0186e5c4fe017p-1"),
-    ("lossless", 2600, 37, "sigma_plus"): ("0x1.bf834e9866487p-1", "0x1.d97498144e9d0p-1"),
+    ("lossless", 2600, 37, "sigma_minus"): ("0x1.eba9d244b37f8p-2", "0x1.0186e5c4fe018p-1"),
+    ("lossless", 2600, 37, "sigma_plus"): ("0x1.bf834e9866487p-1", "0x1.d97498144e9cep-1"),
     ("lossless", 777, 1000, "conditioning_gain"): ("0x1.907aa6762c953p-5", "0x1.41ecd5d2fc49fp-4"),
     ("lossless", 777, 1000, "sigma1"): ("0x1.48f3ca8181f7cp-1", "0x1.6a83c3d2e7896p-1"),
     ("lossless", 777, 1000, "sigma2"): ("0x1.4e1cfdde69c81p-1", "0x1.6f4d8466cb62bp-1"),
     ("lossless", 777, 1000, "sigma_cond"): ("0x1.2ff94e12ee6a4p-1", "0x1.4e42816b145cdp-1"),
-    ("lossless", 777, 1000, "sigma_minus"): ("0x1.cddd348b4ce41p-2", "0x1.fed89803db568p-2"),
+    ("lossless", 777, 1000, "sigma_minus"): ("0x1.cddd348b4ce42p-2", "0x1.fed89803db569p-2"),
     ("lossless", 777, 1000, "sigma_plus"): ("0x1.adeeebe70c731p-1", "0x1.dd65e6ff0270cp-1"),
     ("lossless", 777, 37, "conditioning_gain"): ("0x1.941be85273700p-5", "0x1.1e2a19912fc53p-4"),
     ("lossless", 777, 37, "sigma1"): ("0x1.4b645f9d7268cp-1", "0x1.6b3de517ade7cp-1"),
     ("lossless", 777, 37, "sigma2"): ("0x1.4a63a3aa7943dp-1", "0x1.7458c706b9e37p-1"),
     ("lossless", 777, 37, "sigma_cond"): ("0x1.2e8fba94ad021p-1", "0x1.52a2d8b2e7d79p-1"),
-    ("lossless", 777, 37, "sigma_minus"): ("0x1.d7e5c8e4356f0p-2", "0x1.fc5f19f817e81p-2"),
+    ("lossless", 777, 37, "sigma_minus"): ("0x1.d7e5c8e4356efp-2", "0x1.fc5f19f817e81p-2"),
     ("lossless", 777, 37, "sigma_plus"): ("0x1.ad72b07a127b5p-1", "0x1.dc10da5f54df6p-1"),
     ("lossy", 2600, 1000, "conditioning_gain"): ("0x1.57ffb714f8038p-6", "0x1.fd4b2992f3194p-6"),
     ("lossy", 2600, 1000, "sigma1"): ("0x1.4334dfe7d74b7p-1", "0x1.56a4a3c83cc27p-1"),
     ("lossy", 2600, 1000, "sigma2"): ("0x1.3a37cababa2f9p-1", "0x1.4c601e3768d6cp-1"),
     ("lossy", 2600, 1000, "sigma_cond"): ("0x1.2cf1cac00fd89p-1", "0x1.3e2b24e8127a4p-1"),
-    ("lossy", 2600, 1000, "sigma_minus"): ("0x1.fbd13c8c7cecbp-2", "0x1.0d516d563bdaep-1"),
-    ("lossy", 2600, 1000, "sigma_plus"): ("0x1.7fa341c49570ap-1", "0x1.95920f816ef63p-1"),
+    ("lossy", 2600, 1000, "sigma_minus"): ("0x1.fbd13c8c7ceccp-2", "0x1.0d516d563bdaep-1"),
+    ("lossy", 2600, 1000, "sigma_plus"): ("0x1.7fa341c495709p-1", "0x1.95920f816ef63p-1"),
     ("lossy", 2600, 37, "conditioning_gain"): ("0x1.5b323b9a69991p-6", "0x1.f89db3b0d0428p-6"),
     ("lossy", 2600, 37, "sigma1"): ("0x1.4509da5abad9dp-1", "0x1.5775e13a4409dp-1"),
     ("lossy", 2600, 37, "sigma2"): ("0x1.3b4fd39ef0e45p-1", "0x1.4c84b08cefe55p-1"),
     ("lossy", 2600, 37, "sigma_cond"): ("0x1.2d2bfb5b280e0p-1", "0x1.4096c21ab6d05p-1"),
-    ("lossy", 2600, 37, "sigma_minus"): ("0x1.003572a4df7c3p-1", "0x1.0ceaf105a2e31p-1"),
+    ("lossy", 2600, 37, "sigma_minus"): ("0x1.003572a4df7c2p-1", "0x1.0ceaf105a2e30p-1"),
     ("lossy", 2600, 37, "sigma_plus"): ("0x1.8219d3d6f32b2p-1", "0x1.97ca9af8079f9p-1"),
     ("lossy", 777, 1000, "conditioning_gain"): ("0x1.27c2d27c12a93p-6", "0x1.2c9b47699d083p-5"),
     ("lossy", 777, 1000, "sigma1"): ("0x1.405da47b5536ap-1", "0x1.6058ac601b6a7p-1"),
     ("lossy", 777, 1000, "sigma2"): ("0x1.2f50b150b4fdap-1", "0x1.4f65cec923324p-1"),
     ("lossy", 777, 1000, "sigma_cond"): ("0x1.20fc84b11debbp-1", "0x1.3fe347240f1e4p-1"),
-    ("lossy", 777, 1000, "sigma_minus"): ("0x1.edc270a23e8c6p-2", "0x1.10e96ef2040b5p-1"),
-    ("lossy", 777, 1000, "sigma_plus"): ("0x1.755581440b8dcp-1", "0x1.a03289920d50bp-1"),
+    ("lossy", 777, 1000, "sigma_minus"): ("0x1.edc270a23e8c7p-2", "0x1.10e96ef2040b4p-1"),
+    ("lossy", 777, 1000, "sigma_plus"): ("0x1.755581440b8ddp-1", "0x1.a03289920d50bp-1"),
     ("lossy", 777, 37, "conditioning_gain"): ("0x1.1c9074fad7a05p-6", "0x1.fcb9dcbd8508cp-6"),
     ("lossy", 777, 37, "sigma1"): ("0x1.3d515a75fc7d3p-1", "0x1.5d35f49923568p-1"),
     ("lossy", 777, 37, "sigma2"): ("0x1.31d0b6e04b430p-1", "0x1.5054a5b281da1p-1"),
     ("lossy", 777, 37, "sigma_cond"): ("0x1.263c08851b753p-1", "0x1.437007fbf4a7dp-1"),
-    ("lossy", 777, 37, "sigma_minus"): ("0x1.fa09cfc564d2cp-2", "0x1.14551d42b2f06p-1"),
+    ("lossy", 777, 37, "sigma_minus"): ("0x1.fa09cfc564d2ep-2", "0x1.14551d42b2f06p-1"),
     ("lossy", 777, 37, "sigma_plus"): ("0x1.70aa61e9fcf29p-1", "0x1.9c84dd7027727p-1"),
 }
 
@@ -185,29 +188,22 @@ def test_bootstrap_interval(variant, shots, resamples, estimator):
 
 @pytest.mark.parametrize("variant, shots, resamples",
                          sorted({key[:3] for key in BOOTSTRAP_INTERVALS}))
-def test_bootstrap_moment_pass_serves_the_variances(variant, shots, resamples):
-    # the moment pass of sigma_cond and conditioning_gain also gives sigma1
-    # and sigma2: each interval is the golden one whichever pass drew it
-    def interval(run, estimator):
-        lo, hi = bootstrap_ci(run, estimator, resamples=resamples, seed=BOOTSTRAP_SEED)
-        assert (lo.hex(), hi.hex()) == BOOTSTRAP_INTERVALS[variant, shots, resamples, estimator]
+def test_bootstrap_moment_pass_serves_the_variances(variant, shots, resamples, monkeypatch):
+    # one moment pass serves all six estimators: in any request order one
+    # generator is built, and each interval is the golden one
+    built = []
 
-    def values(run, estimator):
-        return stats._TABLES[run][1][estimator]
+    def counting_generator(bit_generator):
+        built.append(bit_generator)
+        return Generator(bit_generator)
 
-    moments_first = fresh_bootstrap_run(variant, shots)
-    for estimator in ("sigma_cond", "sigma1", "sigma2", "conditioning_gain"):
-        interval(moments_first, estimator)
-    variances_first = fresh_bootstrap_run(variant, shots)
-    for estimator in ("sigma1", "sigma2"):
-        interval(variances_first, estimator)
-    alone = {estimator: values(variances_first, estimator) for estimator in ("sigma1", "sigma2")}
-    interval(variances_first, "conditioning_gain")
-    for estimator, single in alone.items():
-        shared = values(variances_first, estimator)
-        assert shared is not single  # the moment pass replaced them, bit for bit
-        assert np.array_equal(shared, single)
-        assert np.array_equal(values(moments_first, estimator), single)
-        interval(variances_first, estimator)
-    assert np.array_equal(values(variances_first, "conditioning_gain"),
-                          values(moments_first, "conditioning_gain"))
+    monkeypatch.setattr(stats, "Generator", counting_generator)
+    estimators = sorted({key[3] for key in BOOTSTRAP_INTERVALS})
+    for order in (estimators, estimators[::-1], estimators[3:] + estimators[:3]):
+        built.clear()
+        run = fresh_bootstrap_run(variant, shots)
+        for estimator in order + order[::-1]:
+            lo, hi = bootstrap_ci(run, estimator, resamples=resamples, seed=BOOTSTRAP_SEED)
+            assert (lo.hex(), hi.hex()) == BOOTSTRAP_INTERVALS[variant, shots, resamples,
+                                                               estimator]
+        assert len(built) == 1

@@ -121,8 +121,22 @@ class TestVariances:
         s1, s2 = data.s1, data.s2
         vs = variances(data)
         assert vs.sigma1 == np.var(s1, ddof=1) and vs.sigma2 == np.var(s2, ddof=1)
-        assert vs.sigma_plus == np.var(s1 + s2, ddof=1) / 2.0
-        assert vs.sigma_minus == np.var(s1 - s2, ddof=1) / 2.0
+        moments = stats._moments(s1, s2, np.empty(len(s1)), np.empty(len(s1)))
+        assert vs.sigma_plus == stats._STATISTICS["sigma_plus"](*moments)
+        assert vs.sigma_minus == stats._STATISTICS["sigma_minus"](*moments)
+
+    def test_plus_minus_are_within_ulps_of_np_var(self):
+        # (v1 + v2 +/- 2c)/2 is Var(s1 +/- s2)/2 up to the rounding of the
+        # sums: a few ulps on the correlated records of the fig3 point
+        worst = 0.0
+        for seed in range(200):
+            data = run(seed=seed)
+            s1, s2 = data.s1, data.s2
+            vs = variances(data)
+            for value, column in ((vs.sigma_plus, s1 + s2), (vs.sigma_minus, s1 - s2)):
+                reference = np.var(column, ddof=1) / 2.0
+                worst = max(worst, abs(value - reference) / np.spacing(reference))
+        assert worst <= 4.0
 
 
 class TestBinnedConditional:
@@ -216,9 +230,9 @@ class TestBinnedConditional:
                     bootstrap_ci(data, estimator, resamples=20)
 
     def test_peak_memory(self):
-        # the moment pass's two scratch columns, each centred and squared in
-        # place; the second is freed before the residual's variance takes
-        # its own temporary
+        # one scratch column: the moment pass forms each centred product in
+        # it through a small chunk buffer, and the residual's Var(r**2) is
+        # formed, squared and centred in it
         data = noise_run(400_000)
         gc.collect()
         tracemalloc.start()
@@ -227,7 +241,29 @@ class TestBinnedConditional:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * data.s1.nbytes
+        assert peak <= 1.5 * data.s1.nbytes
+
+
+class TestMoments:
+    @pytest.mark.parametrize("shape", [(40_001,), (6, 2600)])
+    def test_buffer_width_changes_no_bit(self, shape):
+        # each moment is one pairwise sum over the whole centred row, however
+        # many chunks of the buffer's width its product was formed in
+        rng = Generator(Philox(key=8))
+        x, y = rng.normal(size=(2, *shape))
+        y += 0.6 * x
+        n = shape[-1]
+        results = []
+        for width in (1, 7, 2**14, n):
+            moments = stats._moments(x, y, np.empty(shape), np.empty((*shape[:-1], width)))
+            results.append(np.array(moments))
+        for result in results[1:]:
+            assert np.array_equal(result, results[0])
+        v1, c, v2 = results[0]
+        assert np.array_equal(v1, np.var(x, axis=-1, ddof=1))
+        assert np.array_equal(v2, np.var(y, axis=-1, ddof=1))
+        assert np.allclose(c, [np.cov(a, b)[0, 1] for a, b in zip(np.atleast_2d(x), np.atleast_2d(y))],
+                           rtol=1e-12, atol=0.0)
 
 
 class TestExactConditional:
@@ -349,10 +385,25 @@ class TestBootstrap:
             with pytest.raises(InsufficientDataError, match="at least ten shots"):
                 bootstrap_ci(noise_run(9), estimator)
 
-    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5])
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf, True, "0.5", None])
     def test_level_outside_unit_interval(self, level):
         with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
             bootstrap_ci(noise_run(50), "sigma_cond", level=level)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, True, False, -1, 2**64, "a"])
+    def test_seed_must_be_a_64_bit_unsigned_integer(self, seed):
+        # None would draw from OS entropy, and the memo would then keep the
+        # first draw; 1.5 and True would silently act as 1
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            bootstrap_ci(noise_run(50), "sigma1", seed=seed)
+
+    def test_seed_accepts_the_64_bit_range(self):
+        data = noise_run(50)
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(5)):
+            lo, hi = bootstrap_ci(fresh(data), "sigma1", resamples=20, seed=seed)
+            assert lo <= hi
+        assert bootstrap_ci(fresh(data), "sigma1", resamples=20, seed=np.int64(5)) == \
+            bootstrap_ci(fresh(data), "sigma1", resamples=20, seed=5)
 
     @pytest.mark.parametrize("resamples", [0, -1, 2.5, True, "10"])
     def test_resamples_must_be_a_positive_integer(self, resamples):
@@ -369,7 +420,7 @@ class TestBootstrap:
             with pytest.raises(InsufficientDataError, match="zero or non-finite spread"):
                 bootstrap_ci(data, estimator, resamples=37, seed=seed)
 
-    @pytest.mark.parametrize("estimator", sorted(stats._ESTIMATORS))
+    @pytest.mark.parametrize("estimator", sorted(stats._STATISTICS))
     def test_block_size_changes_nothing(self, monkeypatch, estimator):
         data = run(shots=300)
         default = bootstrap_ci(fresh(data), estimator, resamples=50, seed=2)
@@ -384,13 +435,16 @@ class TestBootstrap:
         s1, s2 = rng.normal(size=(2, 33))
         idx = np.array([np.arange(len(s1))] + [rng.integers(0, len(s1), size=len(s1))
                                                for _ in range(4)])
-        rows = stats._ESTIMATORS["sigma_cond"](s1, s2)(idx)
+        moments = stats._resample_moments(s1, s2)(idx)
+        rows = {name: formula(*moments) for name, formula in stats._STATISTICS.items()}
         for i, row in enumerate(idx):
             data = columns(s1[row], s2[row])
             cond, vs = binned_conditional(data), variances(data)
             assert rows["sigma_cond"][i] == cond.sigma_cond
             assert rows["conditioning_gain"][i] == vs.sigma2 - cond.sigma_cond
             assert (rows["sigma1"][i], rows["sigma2"][i]) == (vs.sigma1, vs.sigma2)
+            assert (rows["sigma_plus"][i], rows["sigma_minus"][i]) == (vs.sigma_plus,
+                                                                       vs.sigma_minus)
 
     def test_sigma_cond_blocks_refill_their_scratch(self):
         # after the first block, a block of the same size allocates no array
@@ -399,12 +453,12 @@ class TestBootstrap:
         rng = Generator(Philox(key=5))
         s1, s2 = rng.normal(size=(2, 2600))
         idx = rng.integers(0, 2600, size=(6, 2600))
-        rows = stats._ESTIMATORS["sigma_cond"](s1, s2)
-        first = rows(idx)["sigma_cond"]
+        rows = stats._resample_moments(s1, s2)
+        first = np.array(rows(idx))
         gc.collect()
         tracemalloc.start()
         try:
-            again = rows(idx)["sigma_cond"]
+            again = np.array(rows(idx))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -438,28 +492,28 @@ class TestBootstrap:
         s1 = bootstrap_ci(data, "sigma1", resamples=50, seed=2)
         wide = bootstrap_ci(data, "conditioning_gain", resamples=50, seed=2, level=0.95)
         assert bootstrap_ci(data, "sigma_cond", resamples=50, seed=2) == cond
-        assert len(built) == 1  # any estimator of the pass, at any level, draws nothing
-        bootstrap_ci(data, "sigma_plus", resamples=50, seed=2)
-        assert len(built) == 2  # sigma_plus has a pass of its own
+        plus = bootstrap_ci(data, "sigma_plus", resamples=50, seed=2)
+        assert len(built) == 1  # any estimator, at any level, draws nothing
         assert bootstrap_ci(data, "sigma1", resamples=50, seed=3) != s1
-        assert len(built) == 3
+        assert len(built) == 2
         assert bootstrap_ci(data, "sigma1", resamples=51, seed=3) != s1
-        assert len(built) == 4
+        assert len(built) == 3
         assert bootstrap_ci(data, "sigma1", resamples=50, seed=2) == s1
         assert bootstrap_ci(data, "conditioning_gain", resamples=50, seed=2, level=0.95) == wide
-        assert len(built) == 6  # one entry per run: seed 2 was drawn again
+        assert bootstrap_ci(data, "sigma_plus", resamples=50, seed=2) == plus
+        assert len(built) == 4  # one entry per run: seed 2 was drawn again, once
 
     def test_memo_goes_with_its_run(self):
         data = run(shots=300)
         gc.collect()
-        entries = len(stats._TABLES)
+        entries = len(stats._MEMO)
         bootstrap_ci(data, "sigma_cond", resamples=20)
-        assert len(stats._TABLES) == entries + 1
+        assert len(stats._MEMO) == entries + 1
         ref = weakref.ref(data)
         del data
         gc.collect()
         assert ref() is None  # the memo holds no strong reference to its run
-        assert len(stats._TABLES) == entries
+        assert len(stats._MEMO) == entries
 
     def test_writing_a_base_array_changes_no_run(self):
         base = Generator(Philox(key=6)).normal(size=(2, 300))
