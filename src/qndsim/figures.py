@@ -51,7 +51,7 @@ from . import stats
 from .montecarlo import (
     SequenceConfig, predict, run_group, run_sequence, sweep_seed
 )
-from .physics import _FMT, _json_ready, coupling_strength, is_finite_real, load_sheet
+from .physics import _FMT, _json_ready, _read_json, coupling_strength, is_finite_real, load_sheet
 
 DEFAULT_KAPPA_GRID = (0.0, 0.15, 0.3, 0.45, 0.62)
 THEORY_POINTS = 121
@@ -93,6 +93,8 @@ class ExperimentSpec:
             for value in grid:
                 if not is_finite_real(value):
                     raise SpecError(f"{key} entries must be finite numbers, got {value!r}")
+                if key == "photon_grid" and value < 0:
+                    raise SpecError(f"{key} entries must be non-negative, got {value!r}")
             object.__setattr__(self, key, tuple(grid))
         # the name prefixes every file name, so it may not hold a path separator
         name = self.name
@@ -142,12 +144,7 @@ def load_spec(
     out: str | None = None,
 ) -> ExperimentSpec:
     """Load a spec file and apply command-line overrides."""
-    p = Path(path)
-    try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
-    spec = spec_from_mapping(raw, source=str(path))
+    spec = spec_from_mapping(_read_json(path, SpecError), source=str(path))
     seq = spec.sequence
     if seed is not None:
         seq = replace(seq, seed=seed)

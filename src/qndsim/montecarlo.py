@@ -50,17 +50,9 @@ from statistics import NormalDist
 import numpy as np
 from numpy.random import Philox
 
-from .gaussian_core import (
-    ATOM,
-    apply_loss,
-    apply_map,
-    coherent_init,
-    condition_on,
-    marginal,
-    pulse,
-    qnd_map,
-)
+from .gaussian_core import ATOM, apply_loss, apply_map, coherent_init, marginal, pulse, qnd_map
 from .physics import is_finite_real, is_positive_int
+from .stats import _STATISTICS
 
 DRAWS_PER_SHOT = 8
 _CHUNK_SHOTS = 8192
@@ -145,12 +137,12 @@ class Prediction:
     @property
     def sigma_plus(self) -> float:
         """Var(s1 + s2)/2."""
-        return (self.var1 + self.var2 + 2.0 * self.cov) / 2.0
+        return _STATISTICS["sigma_plus"](self.var1, self.cov, self.var2)
 
     @property
     def sigma_minus(self) -> float:
         """Var(s1 - s2)/2."""
-        return (self.var1 + self.var2 - 2.0 * self.cov) / 2.0
+        return _STATISTICS["sigma_minus"](self.var1, self.cov, self.var2)
 
 
 def predict(config: SequenceConfig) -> Prediction:
@@ -161,10 +153,10 @@ def predict(config: SequenceConfig) -> Prediction:
     spin between the pulses; each pulse then passes the loss channel eta, and
     the recorded quadrature is the spec's basis.  kappa_shot is drawn
     independently of every quadrature, so the second moments are exact under
-    atom-number spread too; the conditional variance there is the Gaussian
-    (best-linear) one, the Schur complement Var(s2) - Cov^2/Var(s1).  A model
-    that overflows float64 raises ValueError, so no inf or nan moment reaches a
-    theory table or a ``--check`` band.
+    atom-number spread too.  Every statistic of them, the Gaussian (best-linear)
+    Var(s2 | s1) included, is its one formula in :mod:`qndsim.stats`, shared by
+    runs, resamples and the model.  A model that overflows float64 raises
+    ValueError, so no inf or nan moment reaches a theory table or a ``--check`` band.
     """
     kappa = math.copysign(math.sqrt(mean_kappa_sq(config)), config.kappa_nominal)
     try:
@@ -176,13 +168,11 @@ def predict(config: SequenceConfig) -> Prediction:
             for k in (1, 2):
                 state = apply_loss(state, pulse(k), config.eta)
             q = 0 if config.basis == "y" else 1  # pulse k's quadrature sits at 2*k + q
-            conditioned = condition_on(state, pulse(1), config.basis, 0.0)
-            return Prediction(
-                var1=marginal(state, pulse(1))[2 + q],
-                var2=marginal(state, pulse(2))[2 + q],
-                cov=float(state.cov[2 + q, 4 + q]),
-                cond=marginal(conditioned, pulse(2))[2 + q],
-            )
+            var1 = marginal(state, pulse(1))[2 + q]
+            var2 = marginal(state, pulse(2))[2 + q]
+            cov = state.cov[2 + q, 4 + q]  # a NumPy scalar, so an overflowing cov*cov raises
+            cond = _STATISTICS["sigma_cond"](var1, cov, var2)
+            return Prediction(var1=var1, var2=var2, cov=float(cov), cond=float(cond))
     except FloatingPointError as exc:
         raise ValueError(
             f"kappa={config.kappa_nominal!r}: the model overflows float64"

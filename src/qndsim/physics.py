@@ -65,6 +65,16 @@ def _json_ready(obj):
     return obj
 
 
+def _read_json(path: str | Path, error: type[ValueError]):
+    """The JSON in file ``path``, in UTF-8, -16 or -32 whatever the locale, or ``error``."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class AtomicParams:
     """Atomic-side constants of the probe transition and the prepared ensemble.
@@ -290,10 +300,6 @@ def load_sheet(path: str | Path) -> ParameterSheet:
     if not p.exists():
         bundled = resources.files("qndsim").joinpath(f"data/{p.name}.json")
         if str(path) == p.name and not p.suffix and bundled.is_file():
-            return sheet_from_mapping(json.loads(bundled.read_text()), source=str(path))
+            return sheet_from_mapping(json.loads(bundled.read_bytes()), source=str(path))
         raise SheetError(f"{path}: no such sheet")
-    try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise SheetError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
-    return sheet_from_mapping(raw, source=str(path))
+    return sheet_from_mapping(_read_json(p, SheetError), source=str(path))

@@ -1,14 +1,13 @@
 """Estimators for the two-pulse records: variances, correlations, conditioning.
 
-Every estimator is a formula in three Bessel-corrected moments of the
-records, v1 = Var(s1), c = Cov(s1, s2) and v2 = Var(s2), given once in
-_STATISTICS:
+Every statistic is one formula in v1 = Var(s1), c = Cov(s1, s2) and
+v2 = Var(s2), given in _STATISTICS and shared by runs, bootstrap resamples
+and the model (:func:`qndsim.montecarlo.predict`):
 - sigma1 = v1 and sigma2 = v2;
 - sigma_plus and sigma_minus = (v1 + v2 +/- 2c)/2, i.e. Var(s1 +/- s2)/2,
   so every estimator reads 1/2 at the shot-noise floor;
 - sigma_cond = v2 - c**2/v1, the residual of the linear regression of s2
-  on s1, what :func:`qndsim.montecarlo.predict` gives as ``cond`` at any
-  loss and any atom-number spread;
+  on s1, the model's Var(s2 | s1) at any loss and atom-number spread;
 - conditioning_gain = v2 - sigma_cond.
 Only sigma_cond and the gain divide by v1, so only they reject an s1 with
 no positive spread.  The variances' standard errors use the Gaussian
@@ -42,12 +41,15 @@ import math
 import numbers
 import weakref
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .montecarlo import RunResult
 from .physics import is_finite_real, is_positive_int
+
+if TYPE_CHECKING:  # montecarlo imports _STATISTICS from here
+    from .montecarlo import RunResult
 
 # Draws per bootstrap block, rows = max(1, BLOCK_DRAWS // n), and the
 # moment pass's chunk width on a run.
@@ -95,8 +97,8 @@ def _conditional(v1, c, v2):
     return v2 - c * c / v1
 
 
-# The six estimators, each a formula in the moments (v1, c, v2) of a run or
-# of each resample.
+# The six estimators, each a formula in the moments (v1, c, v2) of a run, of
+# each resample or of the model.
 _STATISTICS = {
     "sigma1": lambda v1, c, v2: v1,
     "sigma2": lambda v1, c, v2: v2,

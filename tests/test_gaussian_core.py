@@ -1,5 +1,8 @@
 """Tests for the Gaussian state algebra: exact values and structural invariants."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,8 @@ from qndsim.gaussian_core import (
     pulse,
     qnd_map,
 )
-from qndsim.montecarlo import SequenceConfig, predict
+from qndsim.montecarlo import SequenceConfig, mean_kappa_sq, predict
+from qndsim.stats import _STATISTICS
 
 kappas = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -235,6 +239,31 @@ class TestOracleIdentities:
         conditioned = condition_on(state, pulse(1), "y", 0.3)
         excess = marginal(conditioned, pulse(2))[2] - 0.5
         assert excess == pytest.approx(kappa**2 / (2 * (1 + kappa**2)), abs=1e-12)
+
+
+class TestPredictOracle:
+    """predict's moments against one conditioning pass through the public API."""
+
+    def test_cond_is_the_conditioned_marginal_and_sigmas_the_formulas(self):
+        for mode, basis, eta, spread, kappa in itertools.product(
+            ["qnd", "reinit"], ["y", "z"], [1.0, 0.8, 0.3, 0.0], [0.0, 0.05, 0.45],
+            [0.0, 0.15, 0.62, -1.3, 3.0, 17.0],
+        ):
+            config = SequenceConfig(mode=mode, kappa_nominal=kappa, eta=eta, basis=basis,
+                                    atom_fluctuation=spread > 0, spin_rel_std=spread)
+            k = math.copysign(math.sqrt(mean_kappa_sq(config)), kappa)
+            state = apply_map(coherent_init(2), qnd_map(2, 1, k))
+            if mode == "reinit":
+                state = apply_loss(state, ATOM, 0.0)
+            state = apply_map(state, qnd_map(2, 2, k))
+            for n in (1, 2):
+                state = apply_loss(state, pulse(n), eta)
+            q = 2 if basis == "y" else 3
+            m = predict(config)
+            conditioned = condition_on(state, pulse(1), basis, 0.0)
+            assert m.cond == marginal(conditioned, pulse(2))[q], config  # bit for bit
+            for name in ("sigma_plus", "sigma_minus"):
+                assert getattr(m, name) == _STATISTICS[name](m.var1, m.cov, m.var2), config
 
 
 class TestStateValidation:

@@ -91,6 +91,8 @@ MISTYPED_SPEC_VALUES = [
     pytest.param({}, {"kappa_grid": []}, "kappa_grid must be non-empty", id="empty_grid"),
     pytest.param({}, {"kappa_grid": None, "physics_sheet": "yb171", "photon_grid": []},
                  "photon_grid must be non-empty", id="empty_photons"),
+    pytest.param({}, {"kappa_grid": None, "physics_sheet": "yb171", "photon_grid": [1e6, -5]},
+                 "photon_grid entries must be non-negative, got -5", id="negative_photons"),
     pytest.param({}, {"kappa_grid": None, "physics_sheet": 5, "photon_grid": [1e6]},
                  "physics_sheet must be a string or null, got 5", id="int_sheet"),
     pytest.param({}, {"kappa_grid": None, "physics_sheet": ["yb171"], "photon_grid": [1e6]},
@@ -240,6 +242,12 @@ class TestSpecs:
         path.write_text("{\n  ]")
         with pytest.raises(SpecError, match="line 2"):
             load_spec(path)
+
+    def test_utf16_spec_loads(self, tmp_path):
+        # a file is read as bytes, so its encoding is JSON's, not the locale's
+        path = write_spec(tmp_path, name="fig3 ¹⁷¹Yb")
+        path.write_bytes(path.read_text(encoding="utf-8").encode("utf-16"))
+        assert load_spec(path).name == "fig3 ¹⁷¹Yb"
 
     def test_empty_name_rejected(self, tmp_path):
         with pytest.raises(SpecError, match="name"):
@@ -659,6 +667,17 @@ class TestCliEntry:
         monkeypatch.chdir(tmp_path)
         assert main(["kappa", "--sheet", sheet]) == 2
         assert capsys.readouterr().err == f"error: {sheet}: no such sheet\n"
+
+    @pytest.mark.parametrize("command", ["kappa", "joint"])
+    def test_undecodable_file_exit_2_naming_it(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff")
+        option = "--sheet" if command == "kappa" else "--spec"
+        assert main([command, option, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"
+        )
 
 
 class TestSpecTypes:

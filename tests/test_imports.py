@@ -66,6 +66,12 @@ finally:
     assert proc.stderr == "[]\n"
 
 
+def test_stats_leaves_montecarlo_out():
+    # montecarlo imports the statistics' formulas from stats, so stats may not import it
+    proc = run_python("import sys, qndsim.stats; print('qndsim.montecarlo' in sys.modules)")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 class TestLazyNamespace:
     def test_all_is_the_eager_list(self):
         assert qndsim.__all__ == PUBLIC

@@ -582,10 +582,15 @@ class TestPredict:
             assert value == pytest.approx(0.5, abs=1e-12)
         assert m.cov == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("mode", ["qnd", "reinit"])
-    @pytest.mark.parametrize("kappa", [1e160, -1e200])
+    @pytest.mark.parametrize(
+        "kappa, mode",
+        [(1e160, "qnd"), (1e160, "reinit"), (-1e200, "qnd"), (-1e200, "reinit"),
+         (1e78, "qnd"), (1e100, "qnd")],
+    )
     def test_overflow_raises_naming_kappa(self, mode, kappa):
-        # an inf or nan moment would reach the theory table and the --check band
+        # an inf or nan moment would reach the theory table and the --check band.
+        # At 1e78 and 1e100 only Cov**2 overflows, in the qnd mode's Var(s2 | s1);
+        # in reinit Cov is 0 and the model is finite there.
         with pytest.raises(ValueError, match=re.escape(f"kappa={kappa!r}: the model overflows")):
             predict(cfg(mode=mode, kappa_nominal=kappa))
 
