@@ -102,6 +102,10 @@ class ExperimentSpec:
             raise SpecError(f"name must be a non-empty string without '/' or '\\', got {name!r}")
         if not isinstance(self.outputs, str):
             raise SpecError(f"outputs must be a string, got {self.outputs!r}")
+        # no path may hold a NUL byte; the OS would refuse it only after sampling
+        for key, value in (("name", name), ("outputs", self.outputs)):
+            if "\0" in value:
+                raise SpecError(f"{key} must not hold a NUL byte, got {value!r}")
         if self.physics_sheet is not None and not isinstance(self.physics_sheet, str):
             raise SpecError(f"physics_sheet must be a string or null, got {self.physics_sheet!r}")
         if self.kappa_grid is not None and self.photon_grid is not None:
@@ -146,10 +150,12 @@ def load_spec(
     """Load a spec file and apply command-line overrides."""
     spec = spec_from_mapping(_read_json(path, SpecError), source=str(path))
     seq = spec.sequence
-    if seed is not None:
-        seq = replace(seq, seed=seed)
-    if shots is not None:
-        seq = replace(seq, shots=shots)
+    for flag, key, value in (("--seed", "seed", seed), ("--shots", "shots", shots)):
+        if value is not None:
+            try:
+                seq = replace(seq, **{key: value})
+            except ValueError as exc:
+                raise SpecError(f"{flag}: {exc}") from exc
     spec = replace(spec, sequence=seq)
     if out is not None:
         spec = replace(spec, outputs=out)

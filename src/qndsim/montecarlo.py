@@ -285,10 +285,10 @@ def ppnd16(p) -> np.ndarray:
     |q| <= 0.425, otherwise in r = sqrt(-log(min(p, 1 - p))), with a second
     pair of polynomials beyond r = 5 (p below about 1.4e-11).  The
     polynomials are evaluated in the order ``statistics.NormalDist.inv_cdf``
-    uses; results agree with it to about one ulp (NumPy's ``log`` may round
-    differently from the C library's).  The central form is evaluated
-    everywhere and the tail entries overwritten, which is cheaper than
-    splitting the array by a mask.
+    uses; the central branch matches it bit for bit, and the tails to a few
+    ulps (NumPy's ``log`` may round differently from the C library's).  The
+    central form is evaluated everywhere and the tail entries overwritten,
+    which is cheaper than splitting the array by a mask.
     """
     p = np.asarray(p, dtype=float)
     shape = p.shape

@@ -25,9 +25,11 @@ Bootstrap draw rule: each block's index rows come from one ``integers``
 call, which draws exactly what one call per row would, since the spare
 half of a 64-bit Philox word is kept in the generator's state, not in the
 call.  So neither the draws nor the intervals depend on the block size.
-The block buffers are allocated once per pass and refilled, since freeing
-block-sized arrays after every block lets the C allocator trim the heap
-and fault the pages back in for the next.
+bootstrap_ci allocates its four block buffers (the gathered s1 and s2, the
+moment pass's scratch and its buffer) once per pass, at the first and
+largest block's shape, and every block refills their leading rows, since
+freeing block-sized arrays after every block lets the C allocator trim the
+heap and fault the pages back in for the next.
 
 Bootstrap memo rule: one moment pass per run, seed and resample count.
 bootstrap_ci keeps each resample's (v1, c, v2) on the run, for its latest
@@ -207,31 +209,6 @@ def squeezing_db(total_excess: float, conditional_excess: float) -> float:
     return 10.0 * math.log10(total_excess / conditional_excess)
 
 
-def _resample_moments(s1, s2):
-    """(v1, c, v2) of each row of a block of resample indices.
-
-    A block's s1 and s2 are gathered into two block buffers and taken
-    through _moments with two more, its scratch and a buffer that spans the
-    row.  The four are allocated at the first (largest) block and refilled
-    by every later one.
-    """
-    bufs = [np.empty((0, len(s1)))] * 4
-
-    def rows(idx):
-        nonlocal bufs
-        m = len(idx)
-        if len(bufs[0]) < m:
-            bufs = [np.empty(idx.shape) for _ in range(4)]
-        x, y, scratch, buf = (b[:m] for b in bufs)
-        # indices are in range by construction; mode "clip" lets take fill
-        # ``out`` directly, where the default mode would allocate a copy
-        s1.take(idx, out=x, mode="clip")
-        s2.take(idx, out=y, mode="clip")
-        return _moments(x, y, scratch, buf)
-
-    return rows
-
-
 # Each run's latest (seed, resamples) and its resamples' (3, resamples)
 # moments.  An entry goes when its run is collected.
 _MEMO = weakref.WeakKeyDictionary()
@@ -275,14 +252,20 @@ def bootstrap_ci(
         raise InsufficientDataError("need at least ten shots to bootstrap")
     key, moments = _MEMO.get(data, (None, None))
     if key != (seed, resamples):
-        rows = max(1, BLOCK_DRAWS // n)
-        block_moments = _resample_moments(s1, s2)
+        rows = min(max(1, BLOCK_DRAWS // n), resamples)
         rng = Generator(Philox(key=seed))
         moments = np.empty((3, resamples))
+        x, y, scratch, buf = (np.empty((rows, n)) for _ in range(4))
         for start in range(0, resamples, rows):
-            stop = min(start + rows, resamples)
-            moments[:, start:stop] = block_moments(rng.integers(0, n, size=(stop - start, n)))
+            m = min(rows, resamples - start)
+            idx = rng.integers(0, n, size=(m, n))
+            # indices are in range by construction; mode "clip" lets take fill
+            # ``out`` directly, where the default mode would allocate a copy
+            s1.take(idx, out=x[:m], mode="clip")
+            s2.take(idx, out=y[:m], mode="clip")
+            moments[:, start:start + m] = _moments(x[:m], y[:m], scratch[:m], buf[:m])
         _MEMO[data] = (seed, resamples), moments
     values = _STATISTICS[estimator](*moments)
     alpha = (1.0 - level) / 2.0
-    return float(np.quantile(values, alpha)), float(np.quantile(values, 1.0 - alpha))
+    lo, hi = np.quantile(values, (alpha, 1.0 - alpha))
+    return float(lo), float(hi)

@@ -606,6 +606,36 @@ class TestCliEntry:
         assert list((tmp_path / "out").glob("*")) == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["joint", "sweep"])
+    @pytest.mark.parametrize("key", ["name", "outputs"])
+    def test_nul_byte_exit_2_before_sampling(self, tmp_path, monkeypatch, capsys, command, key):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(figures, "run_group", no_sampling)
+        monkeypatch.setattr(figures, "run_sequence", no_sampling)
+        monkeypatch.chdir(tmp_path)  # a relative output directory would land here
+        value = {"name": "t\0x", "outputs": f"{tmp_path}/o\0ut"}[key]
+        path = write_spec(tmp_path, **{key: value})
+        assert main([command, "--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: {key} must not hold a NUL byte, got {value!r}\n"
+        assert list(tmp_path.iterdir()) == [path]  # nothing written, inside or out
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--shots", "1", "shots must be at least 2"),
+         ("--seed", "-1", "seed must be a 64-bit unsigned integer")],
+        ids=["shots", "seed"],
+    )
+    def test_out_of_range_override_exit_2_naming_its_flag(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        path = write_spec(tmp_path)
+        assert main(["joint", "--spec", str(path), flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {flag}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_estimator_error_leaves_no_directory(self, tmp_path, capsys):
         out = tmp_path / "D"
         path = write_spec(tmp_path)

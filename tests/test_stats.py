@@ -429,41 +429,47 @@ class TestBootstrap:
             assert bootstrap_ci(fresh(data), estimator, resamples=50, seed=2) == default
 
     def test_rows_are_the_runs_estimate(self):
-        # each row of a block takes the moment pass that binned_conditional
-        # takes on a run of that row's shots, bit for bit
-        rng = Generator(Philox(key=3))
+        # each memoised resample takes the moment pass that variances and
+        # binned_conditional take on a run of that resample's shots, bit for bit
+        rng = Generator(Philox(key=7))
         s1, s2 = rng.normal(size=(2, 33))
-        idx = np.array([np.arange(len(s1))] + [rng.integers(0, len(s1), size=len(s1))
-                                               for _ in range(4)])
-        moments = stats._resample_moments(s1, s2)(idx)
+        data = columns(s1, s2)
+        bootstrap_ci(data, "sigma_cond", resamples=5, seed=3)
+        moments = stats._MEMO[data][1]
         rows = {name: formula(*moments) for name, formula in stats._STATISTICS.items()}
+        idx = Generator(Philox(key=3)).integers(0, 33, size=(5, 33))
         for i, row in enumerate(idx):
-            data = columns(s1[row], s2[row])
-            cond, vs = binned_conditional(data), variances(data)
+            resample = columns(s1[row], s2[row])
+            cond, vs = binned_conditional(resample), variances(resample)
             assert rows["sigma_cond"][i] == cond.sigma_cond
             assert rows["conditioning_gain"][i] == vs.sigma2 - cond.sigma_cond
             assert (rows["sigma1"][i], rows["sigma2"][i]) == (vs.sigma1, vs.sigma2)
             assert (rows["sigma_plus"][i], rows["sigma_minus"][i]) == (vs.sigma_plus,
                                                                        vs.sigma_minus)
 
-    def test_sigma_cond_blocks_refill_their_scratch(self):
-        # after the first block, a block of the same size allocates no array
-        # of its own: fresh block-sized arrays in every block let the
-        # allocator trim and re-fault the heap top each block
-        rng = Generator(Philox(key=5))
-        s1, s2 = rng.normal(size=(2, 2600))
-        idx = rng.integers(0, 2600, size=(6, 2600))
-        rows = stats._resample_moments(s1, s2)
-        first = np.array(rows(idx))
-        gc.collect()
-        tracemalloc.start()
-        try:
-            again = np.array(rows(idx))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(first, again)
-        assert peak <= 2.0 * idx.nbytes
+    def test_sigma_cond_blocks_refill_their_scratch(self, monkeypatch):
+        # a pass allocates its block buffers once, not once per block: fresh
+        # block-sized arrays in every block let the allocator trim and
+        # re-fault the heap top each block
+        class CountingNumPy:
+            def __init__(self):
+                self.empty_calls = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, *args, **kwargs):
+                self.empty_calls += 1
+                return np.empty(*args, **kwargs)
+
+        data = noise_run(2600, seed=5)
+        counts = []
+        for resamples in (6, 20):  # 6 rows a block: one block, then four
+            counter = CountingNumPy()
+            monkeypatch.setattr(stats, "np", counter)
+            bootstrap_ci(fresh(data), "sigma_cond", resamples=resamples)
+            counts.append(counter.empty_calls)
+        assert counts[0] == counts[1] > 0
 
     @pytest.mark.parametrize("high", [2600, 777, 10, 2**31 + 1])
     def test_block_draw_is_the_row_draws(self, high):
