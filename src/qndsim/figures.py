@@ -71,7 +71,8 @@ class ExperimentSpec:
     """A named, fully resolved experiment: sequence settings plus a kappa grid.
 
     Every field is checked here, so a spec built in code is held to what a
-    spec file is; each grid is stored as a tuple.
+    spec file is; a named physics sheet must load (else :class:`SheetError`),
+    and each grid is stored as a tuple.
     """
 
     name: str
@@ -112,6 +113,8 @@ class ExperimentSpec:
             raise SpecError("kappa_grid and photon_grid are mutually exclusive")
         if self.photon_grid is not None and not self.physics_sheet:
             raise SpecError("photon_grid requires a physics_sheet")
+        if self.physics_sheet:  # a named sheet must load, whatever the grid
+            load_sheet(self.physics_sheet)
 
 
 def spec_from_mapping(raw: dict, source: str = "<spec>") -> ExperimentSpec:
@@ -156,10 +159,7 @@ def load_spec(
                 seq = replace(seq, **{key: value})
             except ValueError as exc:
                 raise SpecError(f"{flag}: {exc}") from exc
-    spec = replace(spec, sequence=seq)
-    if out is not None:
-        spec = replace(spec, outputs=out)
-    return spec
+    return replace(spec, sequence=seq, outputs=spec.outputs if out is None else out)
 
 
 def resolve_kappa_grid(spec: ExperimentSpec) -> list[float]:
@@ -406,45 +406,43 @@ def _sweep(spec, stem, modes, point, theory, header, theory_header, check, worke
     estimating, a bad ``workers`` included, leaves no directory behind.
     The grid is walked point by point: point ``i`` runs every mode on
     ``sweep_seed(seed, i)``, so its runs share their Philox windows and are
-    sampled together by :func:`run_group`.  The rows and failures are kept
-    per mode, so the files and the failure text follow the mode order.  The
-    manifest is written before a :class:`CheckFailure` is raised.
+    sampled together by :func:`run_group`; its configs, one per mode, are
+    built once for both its models and its runs.  Each mode's rows and
+    failures are built after the walk, in mode order, and the manifest is
+    written before a :class:`CheckFailure` is raised.
     """
     grid = resolve_kappa_grid(spec)
-    bases = [replace(spec.sequence, mode=mode or spec.sequence.mode) for mode in modes]
-    models = [[predict(replace(base, kappa_nominal=kappa)) for kappa in grid] for base in bases]
-    theory_rows = [
-        (k, *theory(replace(spec.sequence, kappa_nominal=float(k)))) for k in _theory_kappas(grid)
+    seq = spec.sequence
+    groups = [
+        [replace(seq, mode=mode or seq.mode, kappa_nominal=kappa, seed=sweep_seed(seq.seed, i))
+         for mode in modes]
+        for i, kappa in enumerate(grid)
     ]
-    tags = [[mode] if mode else [] for mode in modes]
-    rows = [[] for _ in modes]
-    failures = [[] for _ in modes]
-    for i, kappa in enumerate(grid):
-        group = [
-            replace(base, kappa_nominal=kappa, seed=sweep_seed(base.seed, i)) for base in bases
-        ]
-        # the comprehension drops the point's runs once summarised, before the
-        # next point is sampled: one point's s1 and each mode's s2 are held
-        summaries = [
-            point(run, mode_models[i])
-            for run, mode_models in zip(run_group(group, workers), models)
-        ]
-        for tag, mode_rows, mode_failures, (statistics, extra) in zip(
-            tags, rows, failures, summaries
-        ):
-            _, values, ses, _ = zip(*statistics)
-            mode_rows.append((kappa, *values, *extra, *ses))
-            if check:
-                mode_failures += _band_failures(" ".join([*tag, f"kappa={kappa:g}"]), statistics)
+    models = [[predict(config) for config in group] for group in groups]
+    theory_rows = [
+        (k, *theory(replace(seq, kappa_nominal=float(k)))) for k in _theory_kappas(grid)
+    ]
+    # the inner comprehension drops a point's runs once summarised, before the
+    # next point is sampled: one point's s1 and each mode's s2 are held
+    summaries = [
+        [point(run, model) for run, model in zip(run_group(group, workers), group_models)]
+        for group, group_models in zip(groups, models)
+    ]
     outdir = _outdir(spec)
-    data = {}
-    for tag, mode_rows in zip(tags, rows):
+    data, failures = {}, []
+    for mode, mode_summaries in zip(modes, zip(*summaries)):
+        tag = [mode] if mode else []
+        rows = []
+        for kappa, (statistics, extra) in zip(grid, mode_summaries):
+            _, values, ses, _ = zip(*statistics)
+            rows.append((kappa, *values, *extra, *ses))
+            if check:
+                failures += _band_failures(" ".join([*tag, f"kappa={kappa:g}"]), statistics)
         path = outdir / ("_".join([spec.name, stem, *tag]) + ".csv")
-        data[path] = _write_csv(path, header, list(zip(*mode_rows)))
+        data[path] = _write_csv(path, header, list(zip(*rows)))
     theory_path = outdir / f"{spec.name}_{stem}_theory.csv"
     theory_files = {theory_path: _write_csv(theory_path, theory_header, list(zip(*theory_rows)))}
     bundle = _emit_manifest(outdir, spec, f"{stem}_sweep", data, theory_files)
-    failures = [failure for mode_failures in failures for failure in mode_failures]
     if failures:
         raise CheckFailure("; ".join(failures))
     return bundle

@@ -71,12 +71,13 @@ class GaussianState:
     """Joint light-atom Gaussian state: labeled modes, mean vector, covariance.
 
     Immutable after construction; every operation below returns a new state.
-    Construction validates a finite ``mean``, symmetry of ``cov`` and the
-    per-mode uncertainty bound ``Var(y)*Var(z) - Cov(y,z)^2 >= 1/4`` (within
-    tolerances; a NaN fails every test).  The operations below build their
-    results with :meth:`_derived`, unchecked: a symplectic map, a loss
-    channel and a Schur complement each keep a valid state valid, and
-    :func:`coherent_init` is valid by construction.
+    Construction validates a finite ``mean``, symmetry of ``cov`` and the one
+    exact uncertainty condition: ``cov + i*Omega/2`` has no eigenvalue below
+    ``-UNCERTAINTY_TOL`` (a NaN fails every test), which implies that ``cov``
+    is positive semidefinite and each mode's ``Var(y)Var(z) - Cov^2 >= 1/4``.
+    The operations below build their results with :meth:`_derived`,
+    unchecked: a symplectic map, a loss channel and a Schur complement each
+    keep a valid state valid, and :func:`coherent_init` is valid by construction.
     """
 
     modes: tuple[ModeLabel, ...]
@@ -99,16 +100,10 @@ class GaussianState:
         # each test is written as `not (value <= tol)`, so that NaN fails it
         if dim and not np.max(np.abs(cov - cov.T)) <= SYMMETRY_TOL:
             raise ValueError("covariance matrix is not symmetric")
-        for pos in range(len(modes)):
-            y, z = 2 * pos, 2 * pos + 1
-            purity = cov[y, y] * cov[z, z] - cov[y, z] ** 2
-            if not 0.25 - purity <= UNCERTAINTY_TOL:
-                raise ValueError(
-                    f"mode {modes[pos]} violates the uncertainty bound: "
-                    f"Var(y)Var(z)-Cov^2 = {purity:.6g} < 1/4"
-                )
-        if dim and not -np.linalg.eigvalsh(cov).min() <= UNCERTAINTY_TOL:
-            raise ValueError("covariance matrix is not positive semidefinite")
+        # the one exact test (Simon, Mukunda and Dutta 1994); eigvalsh reads one triangle
+        low = np.linalg.eigvalsh(cov + 0.5j * omega(len(modes))).min() if dim else 0.0
+        if not -low <= UNCERTAINTY_TOL:
+            raise ValueError(f"uncertainty violated: eigenvalue {low:.6g} of cov + i*Omega/2")
         self._freeze(modes, mean, cov)
 
     def _freeze(self, modes: tuple[ModeLabel, ...], mean: np.ndarray, cov: np.ndarray):

@@ -13,6 +13,7 @@ import pytest
 from qndsim.figures import cmd_variance_sweep, spec_from_mapping
 from qndsim.gaussian_core import (
     ATOM,
+    GaussianState,
     apply_loss,
     apply_map,
     coherent_init,
@@ -34,6 +35,11 @@ def exact_conditional(kappa):
     """Reference closed form: lossless y-basis Var(s2 | s1) = (1 + 2k^2) / (2(1 + k^2))."""
     k2 = kappa * kappa
     return (1.0 + 2.0 * k2) / (2.0 * (1.0 + k2))
+
+
+def lowest_uncertainty_eigenvalue(state) -> float:
+    """Smallest eigenvalue of cov + i*Omega/2: the state is physical iff it is >= 0."""
+    return np.linalg.eigvalsh(state.cov + 0.5j * omega(state.n_modes)).min()
 
 
 def report(criterion: int, message: str) -> None:
@@ -177,6 +183,7 @@ def test_criterion_6_structural_invariants():
         for mode in state.modes:
             _, _, vy, vz, cyz = marginal(state, mode)
             assert vy * vz - cyz**2 >= 0.25 - 1e-9
+        assert lowest_uncertainty_eigenvalue(state) >= -1e-9  # the full condition
         cases += 1
 
     for _ in range(200):  # parallelogram identity of the +/- estimators
@@ -186,6 +193,21 @@ def test_criterion_6_structural_invariants():
         sp = np.var(s1 + s2, ddof=1) / 2
         sm = np.var(s1 - s2, ddof=1) / 2
         assert abs((sp + sm) - (np.var(s1, ddof=1) + np.var(s2, ddof=1))) <= 1e-9
+        cases += 1
+
+    for _ in range(100):  # three pulses at strong coupling: the constructor takes every state
+        state = coherent_init(3)
+        for p in (1, 2, 3):
+            state = apply_map(state, qnd_map(3, p, float(rng.uniform(-30.0, 30.0))))
+        states = [state]
+        for p in (1, 2, 3):
+            states.append(apply_loss(states[-1], pulse(p), float(rng.uniform(0.0, 1.0))))
+        for p in (1, 2):
+            quadrature = "yz"[int(rng.integers(2))]
+            states.append(condition_on(states[-1], pulse(p), quadrature, float(rng.normal(0, 2))))
+        for state in states:
+            assert lowest_uncertainty_eigenvalue(state) >= -1e-9
+            GaussianState(state.modes, state.mean, state.cov)
         cases += 1
 
     assert cases >= 1000

@@ -284,6 +284,15 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="uncertainty"):
             GaussianState((ATOM,), np.zeros(2), 0.3 * np.eye(2))
 
+    def test_entangled_uncertainty_violation_rejected(self):
+        # each mode's Var(y)Var(z) - Cov^2 is exactly 1/4 and cov is positive
+        # semidefinite (eigenvalues 0.1 and 0.9), yet Var(y_a - y_p) *
+        # Var(z_a - z_p) = 0.2 * 0.2 < 1: cov + i*Omega/2 has eigenvalue -0.4
+        cov = 0.5 * np.eye(4)
+        cov[0, 2] = cov[2, 0] = cov[1, 3] = cov[3, 1] = 0.4
+        with pytest.raises(ValueError, match=r"uncertainty violated: eigenvalue -0\.4 "):
+            GaussianState((ATOM, pulse(1)), np.zeros(4), cov)
+
     def test_duplicate_modes_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             GaussianState((ATOM, ATOM), np.zeros(4), 0.5 * np.eye(4))

@@ -32,6 +32,7 @@ from qndsim.figures import (
 )
 from qndsim.harness import cmd_kappa, main
 from qndsim.montecarlo import SequenceConfig, run_group, run_sequence, sweep_seed
+from qndsim.physics import SheetError
 from qndsim.stats import bootstrap_ci
 
 SEED = 141421356
@@ -622,6 +623,35 @@ class TestCliEntry:
         assert err == f"error: {path}: {key} must not hold a NUL byte, got {value!r}\n"
         assert list(tmp_path.iterdir()) == [path]  # nothing written, inside or out
 
+    @pytest.mark.parametrize("command", ["joint", "sweep", "conditional"])
+    @pytest.mark.parametrize(
+        "grids",
+        [{}, {"kappa_grid": None, "photon_grid": [0.0, 3.2e6]}],
+        ids=["kappa_grid", "photon_grid"],
+    )
+    @pytest.mark.parametrize("sheet", ["missing", "malformed"])
+    def test_bad_sheet_exit_2_before_sampling(
+        self, tmp_path, monkeypatch, capsys, command, grids, sheet
+    ):
+        # a named sheet is loaded when the spec is checked, whatever its grid
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(figures, "run_group", no_sampling)
+        monkeypatch.setattr(figures, "run_sequence", no_sampling)
+        monkeypatch.chdir(tmp_path)  # "nope" is looked up here
+        if sheet == "missing":
+            name, message = "nope", "nope: no such sheet"
+        else:
+            name = str(tmp_path / "sheet.json")
+            (tmp_path / "sheet.json").write_text("{\n  ]")
+            message = f"{name}: line 2 col 3: Expecting property name enclosed in double quotes"
+        path = write_spec(tmp_path, physics_sheet=name, **grids)
+        before = sorted(tmp_path.iterdir())
+        assert main([command, "--spec", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert sorted(tmp_path.iterdir()) == before  # nothing written, inside or out
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [("--shots", "1", "shots must be at least 2"),
@@ -725,6 +755,14 @@ class TestSpecTypes:
         with pytest.raises(SpecError) as info:
             ExperimentSpec(**{"name": "x", "sequence": seq, "kappa_grid": (0.1,), **fields})
         assert str(info.value) == message
+
+    def test_named_sheet_must_load(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        seq = SequenceConfig(mode="qnd", kappa_nominal=0.3)
+        with pytest.raises(SheetError, match="^nope: no such sheet$"):
+            ExperimentSpec(name="x", sequence=seq, kappa_grid=(0.1,), physics_sheet="nope")
+        spec = ExperimentSpec(name="x", sequence=seq, kappa_grid=(0.1,), physics_sheet="yb171")
+        assert resolve_kappa_grid(spec) == [0.1]
 
     def test_grids_are_stored_as_tuples(self):
         seq = SequenceConfig(mode="qnd", kappa_nominal=0.3)

@@ -19,6 +19,7 @@ import pytest
 from numpy.random import Generator, Philox
 from scipy.integrate import quad
 from scipy.special import ndtri
+from scipy.stats import ks_2samp
 
 import qndsim
 from qndsim import montecarlo
@@ -37,6 +38,8 @@ from qndsim.montecarlo import (
     sweep_seed,
     window_uniforms,
 )
+from qndsim.stats import _STATISTICS
+from wishart import sample_covariances
 
 SEED = 61803398
 
@@ -160,6 +163,25 @@ class TestSampling:
     def test_kappa_shot_floor_under_extreme_spread(self):
         res = run_sequence(cfg(atom_fluctuation=True, spin_rel_std=0.49, shots=50000))
         assert np.min((res.kappa_shot / 0.62) ** 2) >= 0.1 - 1e-12
+
+    @pytest.mark.parametrize("eta", [1.0, 0.8], ids=["lossless", "lossy"])
+    def test_moments_follow_their_wishart_law(self, eta):
+        # a run's Bessel-corrected moments S of (s1, s2) have (n-1)S ~
+        # Wishart(n-1, Sigma), Sigma the model's: seeds 0-999 against 200,000
+        # draws of that law, by two-sample KS (seeds, counts and the 1e-3
+        # threshold were fixed before the first run)
+        config = cfg(eta=eta)
+        runs = (run_sequence(replace(config, seed=seed)) for seed in range(1000))
+        sampled = np.array([np.cov(run.s1, run.s2)[[0, 0, 1], [0, 1, 1]] for run in runs]).T
+        m = predict(config)
+        law = sample_covariances(
+            [[m.var1, m.cov], [m.cov, m.var2]], config.shots, 200_000, np.random.default_rng(1)
+        )
+        exact = law[:, [0, 0, 1], [0, 1, 1]].T
+        names = ("v1", "c", "v2", "Var(s2|s1)")
+        for name, x, y in zip(names, [*sampled, _STATISTICS["sigma_cond"](*sampled)],
+                              [*exact, _STATISTICS["sigma_cond"](*exact)]):
+            assert ks_2samp(x, y).pvalue > 1e-3, name
 
 
 class TestDeterminism:
