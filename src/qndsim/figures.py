@@ -8,7 +8,8 @@ core run on the spec's own mode, basis, loss and atom-number spread),
 supplies every theory companion and every ``--check`` target; theory
 companions are identical across seeds.  Every emitted file is listed in
 exactly one manifest together with its content hash, the resolved spec, and
-the seed, so a run can be reproduced byte for byte.
+the seed, so a run can be reproduced byte for byte; each command returns the
+manifest it writes, the one record of its files.
 
 Every file goes through one write path, in a single pass: a table is handed
 over as its columns, each block of rows is interleaved from the columns'
@@ -72,7 +73,11 @@ class ExperimentSpec:
 
     Every field is checked here, so a spec built in code is held to what a
     spec file is; a named physics sheet must load (else :class:`SheetError`),
-    and each grid is stored as a tuple.
+    and each grid is stored as a tuple.  The sweep abscissa is resolved here
+    too, as the attribute ``kappas``: the ``kappa_grid``, the sheet's coupling
+    at each ``photon_grid`` entry (ValueError if one is not finite), or
+    :data:`DEFAULT_KAPPA_GRID`.  It is not a field, so ``asdict`` (the
+    manifest's spec) holds only what the spec says; ``replace`` resolves it anew.
     """
 
     name: str
@@ -113,8 +118,13 @@ class ExperimentSpec:
             raise SpecError("kappa_grid and photon_grid are mutually exclusive")
         if self.photon_grid is not None and not self.physics_sheet:
             raise SpecError("photon_grid requires a physics_sheet")
+        kappas = self.kappa_grid or DEFAULT_KAPPA_GRID
         if self.physics_sheet:  # a named sheet must load, whatever the grid
-            load_sheet(self.physics_sheet)
+            sheet = load_sheet(self.physics_sheet)
+            if self.photon_grid is not None:
+                pulses = (replace(sheet.pulse, photons=p) for p in self.photon_grid)
+                kappas = tuple(coupling_strength(sheet.atomic, pulse) for pulse in pulses)
+        object.__setattr__(self, "kappas", kappas)
 
 
 def spec_from_mapping(raw: dict, source: str = "<spec>") -> ExperimentSpec:
@@ -160,29 +170,6 @@ def load_spec(
             except ValueError as exc:
                 raise SpecError(f"{flag}: {exc}") from exc
     return replace(spec, sequence=seq, outputs=spec.outputs if out is None else out)
-
-
-def resolve_kappa_grid(spec: ExperimentSpec) -> list[float]:
-    """The sweep abscissa: explicit kappas, or couplings from a photon grid."""
-    if spec.kappa_grid is not None:
-        return list(spec.kappa_grid)
-    if spec.photon_grid is not None:
-        sheet = load_sheet(spec.physics_sheet)
-        return [
-            coupling_strength(sheet.atomic, replace(sheet.pulse, photons=p))
-            for p in spec.photon_grid
-        ]
-    return list(DEFAULT_KAPPA_GRID)
-
-
-@dataclass(frozen=True)
-class FigureBundle:
-    """Paths of one figure's data and theory files plus its manifest."""
-
-    figure_id: str
-    data_files: tuple[str, ...]
-    theory_files: tuple[str, ...]
-    manifest: dict
 
 
 _BLOCK_ROWS = 2048  # table rows formatted at once: bounds the temporaries (about 280 B a value)
@@ -305,14 +292,9 @@ def _write_csv(path: Path, header: str, columns) -> str:
 
 
 def _emit_manifest(
-    outdir: Path,
-    spec: ExperimentSpec,
-    figure_id: str,
-    data: dict[Path, str],
-    theory: dict[Path, str] | None = None,
-) -> FigureBundle:
-    """Write the manifest of a figure's files, given as path -> sha256; return the bundle."""
-    theory = theory or {}
+    outdir: Path, spec: ExperimentSpec, figure_id: str, files: dict[Path, str]
+) -> dict:
+    """Write the manifest of a figure's files, given as path -> sha256, and return it."""
     # the embedded spec is kept at full float precision: feeding it back into
     # spec_from_mapping must reproduce the data files byte for byte
     manifest = {
@@ -320,19 +302,14 @@ def _emit_manifest(
         "figure": figure_id,
         "seed": spec.sequence.seed,
         "spec": asdict(spec),
-        "files": {p.name: digest for p, digest in {**data, **theory}.items()},
+        "files": {p.name: digest for p, digest in files.items()},
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     _write_text(
         outdir / f"{spec.name}_{figure_id}_manifest.json",
         [json.dumps(manifest, indent=1, sort_keys=True), "\n"],
     )
-    return FigureBundle(
-        figure_id=figure_id,
-        data_files=tuple(map(str, data)),
-        theory_files=tuple(map(str, theory)),
-        manifest=manifest,
-    )
+    return manifest
 
 
 def _outdir(spec: ExperimentSpec) -> Path:
@@ -341,9 +318,8 @@ def _outdir(spec: ExperimentSpec) -> Path:
     return path
 
 
-
-def cmd_joint(spec: ExperimentSpec, workers: int = 1) -> FigureBundle:
-    """Scatter panels: (a) no atoms, (b) coupled y basis, (c) z basis."""
+def cmd_joint(spec: ExperimentSpec, workers: int = 1) -> dict:
+    """Scatter panels: (a) no atoms, (b) coupled y basis, (c) z basis; returns the manifest."""
     seq = spec.sequence
     panels = {
         "a": replace(seq, kappa_nominal=0.0, basis="y", seed=sweep_seed(seq.seed, 0)),
@@ -352,13 +328,13 @@ def cmd_joint(spec: ExperimentSpec, workers: int = 1) -> FigureBundle:
     }
     for cfg in panels.values():  # a config the model cannot take raises before any file
         predict(cfg)
-    data = {}
+    files = {}
     summary = {"config": asdict(seq), "panels": {}}
     for panel, cfg in panels.items():
         result = run_sequence(cfg, workers=workers)
         outdir = _outdir(spec)  # made once a run is sampled: a sampling error leaves none
         path = outdir / f"{spec.name}_joint_{panel}.csv"
-        data[path] = _write_csv(path, "s1,s2", (result.s1, result.s2))
+        files[path] = _write_csv(path, "s1,s2", (result.s1, result.s2))
         vs = stats.variances(result)
         # Pearson's r from the variances: sigma_plus - sigma_minus = 2*Cov(s1, s2)
         r = (vs.sigma_plus - vs.sigma_minus) / (2.0 * math.sqrt(vs.sigma1 * vs.sigma2))
@@ -371,13 +347,13 @@ def cmd_joint(spec: ExperimentSpec, workers: int = 1) -> FigureBundle:
         }
         del result  # drop this panel's run before the next one is sampled
     summary_path = outdir / f"{spec.name}_joint_summary.json"
-    data[summary_path] = _write_text(
+    files[summary_path] = _write_text(
         summary_path, [json.dumps(_json_ready(summary), indent=1), "\n"]
     )
-    return _emit_manifest(outdir, spec, "joint_y", data)
+    return _emit_manifest(outdir, spec, "joint_y", files)
 
 
-def _theory_kappas(grid: list[float]) -> np.ndarray:
+def _theory_kappas(grid: tuple[float, ...]) -> np.ndarray:
     """Theory abscissa: 0 to the grid value of largest magnitude (1 if all zero)."""
     return np.linspace(0.0, max(grid, key=abs) or 1.0, THEORY_POINTS)
 
@@ -409,9 +385,10 @@ def _sweep(spec, stem, modes, point, theory, header, theory_header, check, worke
     sampled together by :func:`run_group`; its configs, one per mode, are
     built once for both its models and its runs.  Each mode's rows and
     failures are built after the walk, in mode order, and the manifest is
-    written before a :class:`CheckFailure` is raised.
+    written, data files first and the theory file last, before a
+    :class:`CheckFailure` is raised; otherwise it is returned.
     """
-    grid = resolve_kappa_grid(spec)
+    grid = spec.kappas
     seq = spec.sequence
     groups = [
         [replace(seq, mode=mode or seq.mode, kappa_nominal=kappa, seed=sweep_seed(seq.seed, i))
@@ -429,7 +406,7 @@ def _sweep(spec, stem, modes, point, theory, header, theory_header, check, worke
         for group, group_models in zip(groups, models)
     ]
     outdir = _outdir(spec)
-    data, failures = {}, []
+    files, failures = {}, []
     for mode, mode_summaries in zip(modes, zip(*summaries)):
         tag = [mode] if mode else []
         rows = []
@@ -439,13 +416,13 @@ def _sweep(spec, stem, modes, point, theory, header, theory_header, check, worke
             if check:
                 failures += _band_failures(" ".join([*tag, f"kappa={kappa:g}"]), statistics)
         path = outdir / ("_".join([spec.name, stem, *tag]) + ".csv")
-        data[path] = _write_csv(path, header, list(zip(*rows)))
+        files[path] = _write_csv(path, header, list(zip(*rows)))
     theory_path = outdir / f"{spec.name}_{stem}_theory.csv"
-    theory_files = {theory_path: _write_csv(theory_path, theory_header, list(zip(*theory_rows)))}
-    bundle = _emit_manifest(outdir, spec, f"{stem}_sweep", data, theory_files)
+    files[theory_path] = _write_csv(theory_path, theory_header, list(zip(*theory_rows)))
+    manifest = _emit_manifest(outdir, spec, f"{stem}_sweep", files)
     if failures:
         raise CheckFailure("; ".join(failures))
-    return bundle
+    return manifest
 
 
 def cmd_variance_sweep(
@@ -453,8 +430,8 @@ def cmd_variance_sweep(
     mode: str | None = None,
     check: bool = False,
     workers: int = 1,
-) -> FigureBundle:
-    """Variance-vs-kappa tables for the correlated and re-initialized protocols."""
+) -> dict:
+    """The correlated and re-initialized variance-vs-kappa tables; returns the manifest."""
 
     def point(run, model):
         vs = stats.variances(run)
@@ -478,8 +455,8 @@ def cmd_variance_sweep(
 
 def cmd_conditional_sweep(
     spec: ExperimentSpec, check: bool = False, workers: int = 1
-) -> FigureBundle:
-    """Conditioned-variance (and squeezing) table over the kappa grid."""
+) -> dict:
+    """Conditioned-variance (and squeezing) table over the kappa grid; returns the manifest."""
 
     def point(run, model):
         vs, cond = stats.variances(run), stats.binned_conditional(run)

@@ -295,6 +295,7 @@ def load_sheet(path: str | Path) -> ParameterSheet:
 
     ``path`` may also name a bundled sheet ("yb171") when no such file exists:
     a bare name, with no directory and no suffix, so a mistyped path is an error.
+    A path that exists but is not a regular file, a directory say, is an error too.
     """
     p = Path(path)
     if not p.exists():
@@ -302,4 +303,6 @@ def load_sheet(path: str | Path) -> ParameterSheet:
         if str(path) == p.name and not p.suffix and bundled.is_file():
             return sheet_from_mapping(json.loads(bundled.read_bytes()), source=str(path))
         raise SheetError(f"{path}: no such sheet")
+    if not p.is_file():
+        raise SheetError(f"{path}: not a regular file")
     return sheet_from_mapping(_read_json(p, SheetError), source=str(path))

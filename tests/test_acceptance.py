@@ -223,10 +223,8 @@ def test_criterion_7_determinism(tmp_path):
     hashes = []
     for label, workers in (("r1", 1), ("r2", 1), ("w4", 4)):
         spec = spec_from_mapping({**raw, "outputs": str(tmp_path / label)})
-        fig = cmd_variance_sweep(spec, workers=workers)
-        hashes.append(
-            tuple(Path(p).read_bytes() for p in fig.data_files + fig.theory_files)
-        )
+        manifest = cmd_variance_sweep(spec, workers=workers)
+        hashes.append(tuple((tmp_path / label / name).read_bytes() for name in manifest["files"]))
     assert hashes[0] == hashes[1] == hashes[2]
 
     spec_path = tmp_path / "spec.json"

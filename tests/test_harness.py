@@ -1,4 +1,4 @@
-"""Tests for the CLI and the figure commands: specs, figure bundles, manifests, exit codes."""
+"""Tests for the CLI and the figure commands: specs, written files and manifests, exit codes."""
 
 import gc
 import hashlib
@@ -27,7 +27,6 @@ from qndsim.figures import (
     cmd_joint,
     cmd_variance_sweep,
     load_spec,
-    resolve_kappa_grid,
     spec_from_mapping,
 )
 from qndsim.harness import cmd_kappa, main
@@ -230,13 +229,13 @@ class TestSpecs:
         spec = make_spec(
             tmp_path, kappa_grid=None, photon_grid=[0.0, 3.2e6], physics_sheet="yb171"
         )
-        grid = resolve_kappa_grid(spec)
+        grid = spec.kappas
         assert grid[0] == 0.0
         assert abs(grid[1]) == pytest.approx(0.6357, abs=1e-3)
 
     def test_default_grid(self, tmp_path):
         spec = make_spec(tmp_path, kappa_grid=None)
-        assert resolve_kappa_grid(spec) == [0.0, 0.15, 0.3, 0.45, 0.62]
+        assert spec.kappas == (0.0, 0.15, 0.3, 0.45, 0.62)
 
     def test_malformed_json_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -256,25 +255,25 @@ class TestSpecs:
 
 
 @pytest.fixture(scope="module")
-def bundle(tmp_path_factory):
+def joint_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("joint")
     spec = make_spec(tmp)
     return cmd_joint(spec), spec
 
 
 class TestJoint:
-    def test_panel_files_written(self, bundle):
-        fig, spec = bundle
-        assert fig.figure_id == "joint_y"
-        names = [Path(p).name for p in fig.data_files]
+    def test_panel_files_written(self, joint_run):
+        manifest, spec = joint_run
+        assert manifest["figure"] == "joint_y"
+        names = list(manifest["files"])
         assert names == ["t_joint_a.csv", "t_joint_b.csv", "t_joint_c.csv",
                          "t_joint_summary.json"]
-        for path in fig.data_files:
-            assert Path(path).exists()
+        for name in names:
+            assert (Path(spec.outputs) / name).exists()
 
-    def test_panel_statistics(self, bundle):
-        fig, spec = bundle
-        summary = json.loads(Path(fig.data_files[-1]).read_text())
+    def test_panel_statistics(self, joint_run):
+        _, spec = joint_run
+        summary = json.loads((Path(spec.outputs) / "t_joint_summary.json").read_text())
         n = spec.sequence.shots
         se_r = 3.0 / math.sqrt(n)
         a, b, c = (summary["panels"][k] for k in "abc")
@@ -292,9 +291,9 @@ class TestJoint:
             se = math.hypot(a[f"se_{name}"], c[f"se_{name}"])
             assert abs(c[name] - a[name]) <= 3 * se
 
-    def test_scatter_rows(self, bundle):
-        fig, spec = bundle
-        lines = Path(fig.data_files[0]).read_text().splitlines()
+    def test_scatter_rows(self, joint_run):
+        _, spec = joint_run
+        lines = (Path(spec.outputs) / "t_joint_a.csv").read_text().splitlines()
         assert lines[0] == "s1,s2"
         assert len(lines) == spec.sequence.shots + 1
 
@@ -319,9 +318,9 @@ class TestJoint:
 class TestVarianceSweep:
     def test_check_passes_and_files_match_theory(self, tmp_path):
         spec = make_spec(tmp_path)
-        fig = cmd_variance_sweep(spec, check=True)
-        assert fig.figure_id == "variance_sweep"
-        qnd_csv = Path(fig.data_files[0]).read_text().splitlines()
+        manifest = cmd_variance_sweep(spec, check=True)
+        assert manifest["figure"] == "variance_sweep"
+        qnd_csv = (Path(spec.outputs) / "t_variance_qnd.csv").read_text().splitlines()
         assert qnd_csv[0].startswith("kappa,sigma1")
         rows = [list(map(float, line.split(","))) for line in qnd_csv[1:]]
         for kappa, s1, s2, sp, sm, e1, e2, ep, em in rows:
@@ -351,29 +350,32 @@ class TestVarianceSweep:
 
     def test_modes_share_each_points_s1(self, tmp_path):
         # common random numbers: point i of both modes runs on sweep_seed(seed, i)
-        fig = cmd_variance_sweep(make_spec(tmp_path))
-        qnd, reinit = (np.loadtxt(path, delimiter=",", skiprows=1) for path in fig.data_files)
+        spec = make_spec(tmp_path)
+        cmd_variance_sweep(spec)
+        qnd, reinit = (
+            np.loadtxt(Path(spec.outputs) / f"t_variance_{mode}.csv", delimiter=",", skiprows=1)
+            for mode in ("qnd", "reinit")
+        )
         assert np.array_equal(qnd[:, [0, 1, 5]], reinit[:, [0, 1, 5]])  # kappa, sigma1, se_sigma1
         assert not np.array_equal(qnd[:, 2], reinit[:, 2])
 
     def test_single_mode_flag(self, tmp_path):
         spec = make_spec(tmp_path)
-        fig = cmd_variance_sweep(spec, mode="reinit")
-        assert [Path(p).name for p in fig.data_files] == ["t_variance_reinit.csv"]
+        manifest = cmd_variance_sweep(spec, mode="reinit")
+        assert list(manifest["files"]) == ["t_variance_reinit.csv", "t_variance_theory.csv"]
 
     def test_theory_file_is_seed_free(self, tmp_path):
         spec_a = make_spec(tmp_path, outputs=str(tmp_path / "a"))
         spec_b = make_spec(tmp_path, outputs=str(tmp_path / "b"),
                            sequence={"mode": "qnd", "kappa_nominal": 0.62,
                                      "shots": 2600, "seed": 999})
-        fig_a = cmd_variance_sweep(spec_a)
-        fig_b = cmd_variance_sweep(spec_b)
-        assert Path(fig_a.theory_files[0]).read_bytes() == Path(
-            fig_b.theory_files[0]
-        ).read_bytes()
-        assert Path(fig_a.data_files[0]).read_bytes() != Path(
-            fig_b.data_files[0]
-        ).read_bytes()
+        cmd_variance_sweep(spec_a)
+        cmd_variance_sweep(spec_b)
+        a, b = tmp_path / "a", tmp_path / "b"
+        theory = "t_variance_theory.csv"
+        assert (a / theory).read_bytes() == (b / theory).read_bytes()
+        data = "t_variance_qnd.csv"
+        assert (a / data).read_bytes() != (b / data).read_bytes()
 
     @pytest.mark.parametrize(
         "command, figure_id",
@@ -398,23 +400,26 @@ class TestVarianceSweep:
             tmp_path, kappa_grid=None, photon_grid=photons, physics_sheet="yb171",
             sequence={"mode": "qnd", "kappa_nominal": 0.62, "shots": 300, "seed": SEED},
         )
-        far = resolve_kappa_grid(spec)[-1]
+        far = spec.kappas[-1]
         assert far == pytest.approx(-0.6357, abs=1e-3)
-        for fig in (cmd_variance_sweep(spec, mode="qnd"), cmd_conditional_sweep(spec)):
-            lines = Path(fig.theory_files[0]).read_text().splitlines()
+        cmd_variance_sweep(spec, mode="qnd")
+        cmd_conditional_sweep(spec)
+        for stem in ("variance", "conditional"):
+            lines = (Path(spec.outputs) / f"t_{stem}_theory.csv").read_text().splitlines()
             kappas = [float(line.split(",")[0]) for line in lines[1:]]
             assert len(kappas) == 121
             assert kappas[0] == 0.0
             assert kappas[-1] == float(f"{far:.9g}")
 
     def test_manifest_lists_every_file_once(self, tmp_path):
+        # the manifest lists exactly the files in the output directory, itself aside
         spec = make_spec(tmp_path)
-        fig = cmd_variance_sweep(spec)
-        listed = set(fig.manifest["files"])
-        emitted = {Path(p).name for p in fig.data_files + fig.theory_files}
-        assert listed == emitted
+        manifest = cmd_variance_sweep(spec)
         manifest_path = Path(spec.outputs) / "t_variance_sweep_manifest.json"
+        emitted = sorted(p.name for p in Path(spec.outputs).iterdir() if p != manifest_path)
+        assert sorted(manifest["files"]) == emitted
         stored = json.loads(manifest_path.read_text())
+        assert stored["files"] == manifest["files"]
         assert stored["seed"] == SEED
         assert stored["spec"]["sequence"]["kappa_nominal"] == 0.62
 
@@ -439,9 +444,9 @@ class TestCheckBand:
 class TestConditionalSweep:
     def test_separation_and_squeezing(self, tmp_path):
         spec = make_spec(tmp_path)
-        fig = cmd_conditional_sweep(spec, check=True)
+        cmd_conditional_sweep(spec, check=True)
         rows = {}
-        lines = Path(fig.data_files[0]).read_text().splitlines()
+        lines = (Path(spec.outputs) / "t_conditional.csv").read_text().splitlines()
         for line in lines[1:]:
             vals = list(map(float, line.split(",")))
             rows[vals[0]] = vals
@@ -464,8 +469,8 @@ class TestConditionalSweep:
 
     def test_theory_columns(self, tmp_path):
         spec = make_spec(tmp_path)
-        fig = cmd_conditional_sweep(spec)
-        lines = Path(fig.theory_files[0]).read_text().splitlines()
+        cmd_conditional_sweep(spec)
+        lines = (Path(spec.outputs) / "t_conditional_theory.csv").read_text().splitlines()
         assert lines[0] == "kappa,total_excess,conditional_excess,squeezing_db_ideal"
         last = list(map(float, lines[-1].split(",")))
         kappa = last[0]
@@ -495,12 +500,10 @@ class TestDeterminismAndBundles:
     def test_rerun_byte_identical(self, tmp_path):
         spec_a = make_spec(tmp_path, outputs=str(tmp_path / "r1"))
         spec_b = make_spec(tmp_path, outputs=str(tmp_path / "r2"))
-        fig_a = cmd_variance_sweep(spec_a)
-        fig_b = cmd_variance_sweep(spec_b)
-        for pa, pb in zip(
-            fig_a.data_files + fig_a.theory_files, fig_b.data_files + fig_b.theory_files
-        ):
-            assert Path(pa).read_bytes() == Path(pb).read_bytes()
+        manifest = cmd_variance_sweep(spec_a)
+        cmd_variance_sweep(spec_b)
+        for name in manifest["files"]:
+            assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
     def test_manifest_spec_reruns_byte_identical(self, tmp_path):
         # provenance round trip: rebuild the spec from the manifest and re-run
@@ -508,40 +511,37 @@ class TestDeterminismAndBundles:
                          sequence={"mode": "qnd", "kappa_nominal": 0.6356846032661904,
                                    "shots": 300, "seed": SEED},
                          kappa_grid=[0.6356846032661904])
-        fig = cmd_conditional_sweep(spec)
+        cmd_conditional_sweep(spec)
         manifest = json.loads(
             (tmp_path / "orig" / "t_conditional_sweep_manifest.json").read_text()
         )
         respec = spec_from_mapping({**manifest["spec"], "outputs": str(tmp_path / "redo")})
-        refig = cmd_conditional_sweep(respec)
-        assert Path(refig.data_files[0]).read_bytes() == Path(
-            fig.data_files[0]
-        ).read_bytes()
+        cmd_conditional_sweep(respec)
+        data = "t_conditional.csv"
+        assert (tmp_path / "redo" / data).read_bytes() == (tmp_path / "orig" / data).read_bytes()
 
     @pytest.mark.parametrize("command", [cmd_joint, cmd_variance_sweep, cmd_conditional_sweep])
     def test_manifest_digests_match_files_on_disk(self, tmp_path, command):
         # the digests are taken from the bytes as written, never re-read
         spec = make_spec(tmp_path, sequence={"mode": "qnd", "kappa_nominal": 0.62,
                                              "shots": 300, "seed": SEED})
-        fig = command(spec)
+        manifest = command(spec)
         outdir = Path(spec.outputs)
-        stored = json.loads(
-            (outdir / f"t_{fig.figure_id}_manifest.json").read_text()
-        )
-        assert stored["files"] == fig.manifest["files"]
-        emitted = fig.data_files + fig.theory_files
-        assert sorted(stored["files"]) == sorted(Path(p).name for p in emitted)
+        manifest_path = outdir / f"t_{manifest['figure']}_manifest.json"
+        stored = json.loads(manifest_path.read_text())
+        assert stored["files"] == manifest["files"]
+        emitted = (p.name for p in outdir.iterdir() if p != manifest_path)
+        assert sorted(stored["files"]) == sorted(emitted)
         for name, digest in stored["files"].items():
             assert hashlib.sha256((outdir / name).read_bytes()).hexdigest() == digest
 
     def test_workers_byte_identical(self, tmp_path):
         spec_a = make_spec(tmp_path, outputs=str(tmp_path / "w1"))
         spec_b = make_spec(tmp_path, outputs=str(tmp_path / "w4"))
-        fig_a = cmd_conditional_sweep(spec_a, workers=1)
-        fig_b = cmd_conditional_sweep(spec_b, workers=4)
-        assert Path(fig_a.data_files[0]).read_bytes() == Path(
-            fig_b.data_files[0]
-        ).read_bytes()
+        cmd_conditional_sweep(spec_a, workers=1)
+        cmd_conditional_sweep(spec_b, workers=4)
+        data = "t_conditional.csv"
+        assert (tmp_path / "w1" / data).read_bytes() == (tmp_path / "w4" / data).read_bytes()
 
 
 class TestCliEntry:
@@ -629,7 +629,7 @@ class TestCliEntry:
         [{}, {"kappa_grid": None, "photon_grid": [0.0, 3.2e6]}],
         ids=["kappa_grid", "photon_grid"],
     )
-    @pytest.mark.parametrize("sheet", ["missing", "malformed"])
+    @pytest.mark.parametrize("sheet", ["missing", "malformed", "directory"])
     def test_bad_sheet_exit_2_before_sampling(
         self, tmp_path, monkeypatch, capsys, command, grids, sheet
     ):
@@ -642,6 +642,10 @@ class TestCliEntry:
         monkeypatch.chdir(tmp_path)  # "nope" is looked up here
         if sheet == "missing":
             name, message = "nope", "nope: no such sheet"
+        elif sheet == "directory":
+            name = str(tmp_path / "sheets")
+            (tmp_path / "sheets").mkdir()
+            message = f"{name}: not a regular file"
         else:
             name = str(tmp_path / "sheet.json")
             (tmp_path / "sheet.json").write_text("{\n  ]")
@@ -651,6 +655,24 @@ class TestCliEntry:
         assert main([command, "--spec", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert sorted(tmp_path.iterdir()) == before  # nothing written, inside or out
+
+    @pytest.mark.parametrize("command", ["joint", "sweep", "conditional"])
+    def test_non_finite_coupling_exit_2_before_sampling(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        # a photon grid is resolved into couplings when the spec is checked
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(figures, "run_group", no_sampling)
+        monkeypatch.setattr(figures, "run_sequence", no_sampling)
+        path = write_spec(tmp_path, kappa_grid=None, physics_sheet="yb171",
+                          photon_grid=[0.0, 1e308])
+        assert main([command, "--spec", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: derived kappa is not finite (-inf): a sheet value is out of range\n"
+        )
+        assert sorted(tmp_path.iterdir()) == [path]  # nothing written, inside or out
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -728,6 +750,10 @@ class TestCliEntry:
         assert main(["kappa", "--sheet", sheet]) == 2
         assert capsys.readouterr().err == f"error: {sheet}: no such sheet\n"
 
+    def test_directory_sheet_exit_2(self, tmp_path, capsys):
+        assert main(["kappa", "--sheet", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path}: not a regular file\n"
+
     @pytest.mark.parametrize("command", ["kappa", "joint"])
     def test_undecodable_file_exit_2_naming_it(self, tmp_path, capsys, command):
         path = tmp_path / "bad.json"
@@ -762,7 +788,22 @@ class TestSpecTypes:
         with pytest.raises(SheetError, match="^nope: no such sheet$"):
             ExperimentSpec(name="x", sequence=seq, kappa_grid=(0.1,), physics_sheet="nope")
         spec = ExperimentSpec(name="x", sequence=seq, kappa_grid=(0.1,), physics_sheet="yb171")
-        assert resolve_kappa_grid(spec) == [0.1]
+        assert spec.kappas == (0.1,)
+
+    def test_sweep_reads_no_sheet(self, tmp_path, monkeypatch):
+        # the spec resolves its photon grid when it is checked; the sweep reads its kappas
+        sequence = {"mode": "qnd", "kappa_nominal": 0.62, "shots": 300, "seed": SEED}
+        spec = make_spec(tmp_path, kappa_grid=None, physics_sheet="yb171",
+                         photon_grid=[0.0, 3.2e6], sequence=sequence)
+        loads, load_sheet = [], figures.load_sheet
+
+        def counted(path):
+            loads.append(path)
+            return load_sheet(path)
+
+        monkeypatch.setattr(figures, "load_sheet", counted)
+        cmd_variance_sweep(spec)
+        assert loads == []
 
     def test_grids_are_stored_as_tuples(self):
         seq = SequenceConfig(mode="qnd", kappa_nominal=0.3)

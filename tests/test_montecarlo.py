@@ -183,6 +183,32 @@ class TestSampling:
                               [*exact, _STATISTICS["sigma_cond"](*exact)]):
             assert ks_2samp(x, y).pvalue > 1e-3, name
 
+    @pytest.mark.parametrize("eta", [1.0, 0.8], ids=["lossless", "lossy"])
+    def test_group_moments_follow_their_wishart_law(self, eta):
+        # a run_group pair's (s1, s2_qnd, s2_reinit) is Gaussian too, so its
+        # Bessel-corrected 3x3 moments S have (n-1)S ~ Wishart(n-1, Sigma):
+        # Sigma from the two modes' predict, and Cov(s2_qnd, s2_reinit) = 1/2,
+        # the slot-4 light noise and slot-6 refill both s2 carry
+        # (eta^2/2 + (1 - eta^2)/2).  Seeds 0-999 against 200,000 draws of
+        # that law, by two-sample KS (seeds, counts and the 1e-3 threshold
+        # were fixed before the first run).  Not the z basis: there the two
+        # s2 are one column, and Sigma is singular.
+        modes = [cfg(eta=eta, mode=mode) for mode in ("qnd", "reinit")]
+
+        def moments(seed):
+            qnd, reinit = run_group([replace(config, seed=seed) for config in modes])
+            return np.cov([qnd.s1, qnd.s2, reinit.s2])
+
+        sampled = np.array([moments(seed) for seed in range(1000)])
+        q, r = (predict(config) for config in modes)
+        assert r.var1 == pytest.approx(q.var1)
+        sigma = [[q.var1, q.cov, r.cov], [q.cov, q.var2, 0.5], [r.cov, 0.5, r.var2]]
+        law = sample_covariances(sigma, modes[0].shots, 200_000, np.random.default_rng(2))
+        entries = {"v1": (0, 0), "c_qnd": (0, 1), "c_reinit": (0, 2), "v2_qnd": (1, 1),
+                   "v2_reinit": (2, 2), "Cov(s2_qnd, s2_reinit)": (1, 2)}
+        for name, (i, j) in entries.items():
+            assert ks_2samp(sampled[:, i, j], law[:, i, j]).pvalue > 1e-3, name
+
 
 class TestDeterminism:
     def test_rerun_is_bitwise_identical(self):
