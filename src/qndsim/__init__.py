@@ -45,7 +45,6 @@ _HOME = {  # each public name and its home module
     "run_sequence": "montecarlo",
     "squeezing_db": "stats",
     "variances": "stats",
-    "window_uniforms": "montecarlo",
 }
 
 __all__ = sorted(_HOME)

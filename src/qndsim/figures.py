@@ -128,6 +128,11 @@ class ExperimentSpec:
 
 
 def spec_from_mapping(raw: dict, source: str = "<spec>") -> ExperimentSpec:
+    return _build_spec(raw, source)
+
+
+def _build_spec(raw: dict, source: str, seed=None, shots=None, out=None) -> ExperimentSpec:
+    """The spec of ``raw``, built once: :func:`load_spec`'s overrides go in before the check."""
     if not isinstance(raw, dict):
         raise SpecError(f"{source}: expected a JSON object")
     known = {"name", "physics_sheet", "sequence", "kappa_grid", "photon_grid", "outputs"}
@@ -142,13 +147,23 @@ def spec_from_mapping(raw: dict, source: str = "<spec>") -> ExperimentSpec:
     if bad:
         raise SpecError(f"{source}: unknown sequence key(s) {sorted(bad)}")
     try:
+        sequence = SequenceConfig(**seq_raw)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"{source}: {exc}") from exc
+    for flag, key, value in (("--seed", "seed", seed), ("--shots", "shots", shots)):
+        if value is not None:
+            try:
+                sequence = replace(sequence, **{key: value})
+            except ValueError as exc:
+                raise SpecError(f"{flag}: {exc}") from exc
+    try:
         return ExperimentSpec(
             name=raw.get("name", ""),
             physics_sheet=raw.get("physics_sheet"),
-            sequence=SequenceConfig(**seq_raw),
+            sequence=sequence,
             kappa_grid=raw.get("kappa_grid"),
             photon_grid=raw.get("photon_grid"),
-            outputs=raw.get("outputs", "out"),
+            outputs=raw.get("outputs", "out") if out is None else out,
         )
     except (TypeError, ValueError) as exc:
         raise SpecError(f"{source}: {exc}") from exc
@@ -161,15 +176,7 @@ def load_spec(
     out: str | None = None,
 ) -> ExperimentSpec:
     """Load a spec file and apply command-line overrides."""
-    spec = spec_from_mapping(_read_json(path, SpecError), source=str(path))
-    seq = spec.sequence
-    for flag, key, value in (("--seed", "seed", seed), ("--shots", "shots", shots)):
-        if value is not None:
-            try:
-                seq = replace(seq, **{key: value})
-            except ValueError as exc:
-                raise SpecError(f"{flag}: {exc}") from exc
-    return replace(spec, sequence=seq, outputs=spec.outputs if out is None else out)
+    return _build_spec(_read_json(path, SpecError), str(path), seed, shots, out)
 
 
 _BLOCK_ROWS = 2048  # table rows formatted at once: bounds the temporaries (about 280 B a value)

@@ -10,10 +10,12 @@ through :func:`ppnd16`, Wichura's AS241 inverse normal CDF (Applied
 Statistics 37:477, 1988), evaluated in this module with NumPy.  No rejection
 sampling is used, so the draw count per shot is fixed, and the bits depend
 only on the Philox counter function, this module's arithmetic and NumPy's
-float64 ``log`` and ``sqrt`` (the tail branch).  Any partition of the shot
-range into chunks, evaluated in any order or concurrently, therefore
-reproduces the exact same columns bit for bit, and a run need hold only its
-records s1 and s2: the atoms' columns are sampled again when first read.
+float64 ``log`` and ``sqrt`` (the tail branch); ``tests/reference_sampler.py``
+is the contract in the standard library alone, and the tests check each stage
+against it.  Any partition of the shot range into chunks, evaluated in any
+order or concurrently, therefore reproduces the exact same columns bit for
+bit, and a run need hold only its records s1 and s2: the atoms' columns are
+sampled again when first read.
 
 Per-shot slot layout.  All 8 words are always drawn, so the layout never
 shifts; only the slots a configuration consumes (see :func:`_used_slots`) are
@@ -314,16 +316,6 @@ def ppnd16(p) -> np.ndarray:
     return x.reshape(shape)
 
 
-def window_uniforms(seed: int, start: int, n: int) -> np.ndarray:
-    """Uniform doubles of shots ``start .. start + n - 1``, one row per shot.
-
-    Row ``i`` holds the ``DRAWS_PER_SHOT`` raw Philox words of shot
-    ``start + i``, each mapped to ``(word >> 11) * 2**-53``.
-    """
-    words = Philox(key=seed).advance(2 * start).random_raw(n * DRAWS_PER_SHOT)
-    return ((words >> 11) * _UNIT).reshape(n, DRAWS_PER_SHOT)
-
-
 def _used_slots(config: SequenceConfig) -> list[int]:
     """The window slots ``config`` turns into normals, in ascending order."""
     slots = {1, 3, 4}
@@ -339,10 +331,10 @@ def _used_slots(config: SequenceConfig) -> list[int]:
 def _normals(seed: int, start: int, n: int, slots: list[int]) -> dict[int, np.ndarray]:
     """Standard normals of the window slots ``slots`` of shots ``start .. start + n - 1``.
 
-    The slots' words are gathered first and only they become uniforms, each
-    as :func:`window_uniforms` maps a word; an exact zero is clipped to the
-    smallest normal double, so AS241 stays finite.  One :func:`ppnd16` call
-    transforms them all.
+    The slots' words are gathered first and only they become uniforms,
+    ``(word >> 11) * 2**-53``; an exact zero is clipped to the smallest normal
+    double, so AS241 stays finite.  One :func:`ppnd16` call transforms them
+    all.  ``tests/reference_sampler.py`` is each step without NumPy.
     """
     words = Philox(key=seed).advance(2 * start).random_raw(n * DRAWS_PER_SHOT)
     used = words.reshape(n, DRAWS_PER_SHOT).T[slots]

@@ -805,6 +805,23 @@ class TestSpecTypes:
         cmd_variance_sweep(spec)
         assert loads == []
 
+    def test_overrides_build_the_spec_once(self, tmp_path, monkeypatch):
+        # --seed, --shots and --out go in before the spec is checked, so its
+        # sheet is loaded and its photon grid resolved once
+        path = write_spec(tmp_path, kappa_grid=None, physics_sheet="yb171",
+                          photon_grid=[0.0, 3.2e6])
+        loads, load_sheet = [], figures.load_sheet
+
+        def counted(path):
+            loads.append(path)
+            return load_sheet(path)
+
+        monkeypatch.setattr(figures, "load_sheet", counted)
+        spec = load_spec(path, seed=7, shots=300, out=str(tmp_path / "elsewhere"))
+        assert loads == ["yb171"]
+        assert (spec.sequence.seed, spec.sequence.shots) == (7, 300)
+        assert spec.outputs == str(tmp_path / "elsewhere")
+
     def test_grids_are_stored_as_tuples(self):
         seq = SequenceConfig(mode="qnd", kappa_nominal=0.3)
         spec = ExperimentSpec(name="x", sequence=seq, kappa_grid=[0.0, 0.3])

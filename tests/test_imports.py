@@ -25,7 +25,7 @@ PUBLIC = [
     "apply_loss", "apply_map", "binned_conditional", "bootstrap_ci", "coherent_init",
     "condition_on", "coupling_strength", "derive_coupling", "faraday_angle", "kappa_from_angle",
     "load_sheet", "loss_parameter", "marginal", "predict", "pulse", "qnd_map", "run_group",
-    "run_sequence", "squeezing_db", "variances", "window_uniforms",
+    "run_sequence", "squeezing_db", "variances",
 ]
 
 NUMPY_LOADED = "import sys; print([m for m in sys.modules if m.split('.')[0] == 'numpy'])"

@@ -29,6 +29,7 @@ from qndsim.montecarlo import (
     RunResult,
     SequenceConfig,
     _columns,
+    _normals,
     _used_slots,
     mean_kappa_sq,
     ppnd16,
@@ -36,9 +37,9 @@ from qndsim.montecarlo import (
     run_group,
     run_sequence,
     sweep_seed,
-    window_uniforms,
 )
 from qndsim.stats import _STATISTICS
+import reference_sampler
 from wishart import sample_covariances
 
 SEED = 61803398
@@ -48,19 +49,6 @@ def cfg(**kwargs) -> SequenceConfig:
     base = dict(mode="qnd", kappa_nominal=0.62, shots=2600, seed=SEED)
     base.update(kwargs)
     return SequenceConfig(**base)
-
-
-def eager_columns(config, u, slots=None):
-    """s1, s2, jz1, jz2 and kappa_shot of ``config`` from an (n, DRAWS_PER_SHOT) uniform block.
-
-    The block is taken in one piece: the uniforms of ``slots`` (by default
-    the config's used ones) are clipped and transformed as the sampler's
-    words are, and the column algebra runs on those normals alone.
-    """
-    slots = _used_slots(config) if slots is None else slots
-    z = dict(zip(slots, ppnd16(np.maximum(u.T[slots], np.finfo(float).tiny))))
-    columns = _columns([config], z)
-    return columns["s1"], columns["s2", 0], columns["jz1"], columns["jz2", 0], columns["kappa_shot"]
 
 
 def se_var(var, n):
@@ -209,6 +197,23 @@ class TestSampling:
         for name, (i, j) in entries.items():
             assert ks_2samp(sampled[:, i, j], law[:, i, j]).pvalue > 1e-3, name
 
+    @pytest.mark.parametrize("kappa", [0.0, 0.62])
+    def test_lossless_z_scores_have_unit_sd(self, kappa):
+        # the z-score of sigma1 and sigma_plus against predict, with the SE
+        # of stats.variances (the estimate times sqrt(2/(n-1))), over 200,000
+        # pseudo-runs of the exact law of a lossless 2600-shot run: its SD lies
+        # within 0.95-1.05 (count, seed and bounds fixed before the first run)
+        config = cfg(kappa_nominal=kappa)
+        m, n = predict(config), config.shots
+        s = sample_covariances([[m.var1, m.cov], [m.cov, m.var2]], n, 200_000,
+                               np.random.default_rng(3))
+        moments = (s[:, 0, 0], s[:, 0, 1], s[:, 1, 1])
+        for name, target in (("sigma1", m.var1), ("sigma_plus", m.sigma_plus)):
+            estimate = _STATISTICS[name](*moments)
+            z = (estimate - target) / (estimate * math.sqrt(2.0 / (n - 1)))
+            print(f"kappa {kappa} {name}: z mean {np.mean(z):+.4f}, SD {np.std(z):.4f}")
+            assert 0.95 <= np.std(z) <= 1.05, name
+
 
 class TestDeterminism:
     def test_rerun_is_bitwise_identical(self):
@@ -284,16 +289,17 @@ class TestDeterminism:
 
     def test_atoms_are_rederived_bit_for_bit(self):
         # the run (three chunks) holds only s1 and s2; jz1, jz2 and kappa_shot
-        # come back from the run's own windows on first read, equal to an
-        # eager rebuild of all 20000 shots as one block
+        # come back from the run's own windows on first read, equal to the
+        # reference's algebra on the normals of all 20000 shots as one block
         config = cfg(mode="reinit", eta=0.9, atom_fluctuation=True, spin_rel_std=0.07,
                      shots=20000)
         run = run_sequence(config)
         assert set(vars(run)) == {"config", "s1", "s2"}
-        eager = eager_columns(config, window_uniforms(SEED, 0, 20000))
-        for name, column in zip(("s1", "s2", "jz1", "jz2", "kappa_shot"), eager):
+        z = _normals(SEED, 0, config.shots, _used_slots(config))
+        reference = reference_sampler.columns(config, {k: v.tolist() for k, v in z.items()})
+        for name, column in reference.items():
             value = getattr(run, name)
-            assert np.array_equal(value, column)
+            assert same_bits(value, column)
             assert not value.flags.writeable
             with pytest.raises(AttributeError):
                 setattr(run, name, column)
@@ -310,15 +316,6 @@ class TestDeterminism:
         for name in ("s1", "s2", "jz1", "jz2", "kappa_shot"):
             assert np.array_equal(getattr(full, name)[:k], getattr(prefix, name))
 
-    def test_window_uniforms_tile_the_stream(self):
-        # consecutive windows tile the full stream, whose words map to the
-        # same doubles as Generator.random
-        u_full = window_uniforms(SEED, 0, 3)
-        assert u_full.shape == (3, DRAWS_PER_SHOT)
-        assert np.array_equal(u_full[2:], window_uniforms(SEED, 2, 1))
-        stream = Generator(Philox(key=SEED)).random(3 * DRAWS_PER_SHOT)
-        assert np.array_equal(u_full.ravel(), stream)
-
     @pytest.mark.parametrize(
         "settings",
         [{}, {"mode": "reinit"}, {"eta": 0.8}, {"atom_fluctuation": True, "spin_rel_std": 0.05}],
@@ -326,18 +323,25 @@ class TestDeterminism:
     )
     def test_unused_slots_are_not_read(self, settings):
         config = cfg(shots=100, **settings)
-        u = window_uniforms(SEED, 0, 100)
-        poisoned = u.copy()
-        poisoned[:, [k for k in range(DRAWS_PER_SHOT) if k not in _used_slots(config)]] = np.nan
+        used = _used_slots(config)
+        z = _normals(SEED, 0, 100, list(range(DRAWS_PER_SHOT)))
+        poisoned = {k: z[k] if k in used else np.full(100, np.nan) for k in z}
         # the algebra is handed every slot's normals, the poisoned ones too
-        for a, b in zip(eager_columns(config, u),
-                        eager_columns(config, poisoned, slots=list(range(DRAWS_PER_SHOT)))):
-            assert np.array_equal(a, b)
+        clean = _columns([config], {k: z[k] for k in used})
+        dirty = _columns([config], poisoned)
+        assert clean.keys() == dirty.keys()
+        for key in clean:
+            assert np.array_equal(clean[key], dirty[key])
 
     def test_default_point_runs_fast(self):
         start = time.perf_counter()
         run_sequence(cfg())
         assert time.perf_counter() - start < 1.0
+
+
+def sampler_uniforms(seed: int, shots: int) -> np.ndarray:
+    """The doubles ``(word >> 11) * 2**-53`` of shots 0 .. shots - 1's words, one row per shot."""
+    return Generator(Philox(key=seed)).random((shots, DRAWS_PER_SHOT))
 
 
 class TestPpnd16:
@@ -352,7 +356,7 @@ class TestPpnd16:
     ]
 
     def test_matches_stdlib(self):
-        p = np.concatenate([window_uniforms(SEED, 0, 5000).ravel(), self.EDGES])
+        p = np.concatenate([sampler_uniforms(SEED, 5000).ravel(), self.EDGES])
         inv_cdf = NormalDist().inv_cdf
         expected = np.array([inv_cdf(v) for v in p.tolist()])
         assert np.max(np.abs(ppnd16(p) - expected)) <= 1e-15
@@ -361,7 +365,7 @@ class TestPpnd16:
         # defect 8: NumPy's log may round differently from the C library's,
         # so AS241's tail branch may move a quantile by a few ulps; the
         # central branch, which takes no log, matches bit for bit
-        u = np.concatenate([window_uniforms(seed, 0, 42000).ravel() for seed in (1, 2, 3)])
+        u = np.concatenate([sampler_uniforms(seed, 42000).ravel() for seed in (1, 2, 3)])
         p = np.concatenate([np.maximum(u, np.finfo(float).tiny), self.EDGES])
         inv_cdf = NormalDist().inv_cdf
         expected = np.array([inv_cdf(v) for v in p.tolist()])
@@ -375,7 +379,7 @@ class TestPpnd16:
         assert ulps.max(initial=0) <= 3
 
     def test_monotone(self):
-        p = np.sort(window_uniforms(SEED, 0, 5000).ravel())
+        p = np.sort(sampler_uniforms(SEED, 5000).ravel())
         assert np.all(np.diff(ppnd16(p)) >= 0.0)
         # next to the branch edges AS241 itself (the stdlib's evaluation too)
         # can step back by one ulp, on the sampler's 2**-53 lattice and below it
@@ -389,11 +393,11 @@ class TestPpnd16:
                 assert np.all(np.diff(x) >= -np.spacing(np.abs(x[1:])))
 
     def test_matches_scipy_ndtri(self):
-        p = np.concatenate([window_uniforms(SEED, 0, 5000).ravel(), self.EDGES])
+        p = np.concatenate([sampler_uniforms(SEED, 5000).ravel(), self.EDGES])
         np.testing.assert_allclose(ppnd16(p), ndtri(p), rtol=1e-14, atol=1e-14)
 
     def test_keeps_shape(self):
-        p = window_uniforms(SEED, 0, 4)
+        p = sampler_uniforms(SEED, 4)
         assert ppnd16(p).shape == p.shape
         assert np.array_equal(ppnd16(p).ravel(), ppnd16(p.ravel()))
 
@@ -609,6 +613,117 @@ class TestGroup:
     def test_workers_must_be_a_positive_integer(self, workers):
         with pytest.raises(ValueError, match="workers must be a positive integer"):
             run_group([cfg()], workers=workers)
+
+
+def same_bits(a, b) -> bool:
+    """Whether two float sequences hold the same doubles, bit for bit."""
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+REFERENCE_SHOTS = 3000
+REFERENCE_GROUPS = {  # name: (seed, basis, settings) of a group of a qnd and a reinit config
+    **{f"{basis}-{variant}": (7, basis, settings)
+       for basis in ("y", "z") for variant, settings in GROUP_VARIANTS.items()},
+    "z-eta0.5-top_seed": (2**64 - 1, "z", {"eta": 0.5}),
+}
+REFERENCE_SEEDS = sorted({seed for seed, _, _ in REFERENCE_GROUPS.values()})
+
+
+def reference_group(name: str, shots: int = REFERENCE_SHOTS) -> list[SequenceConfig]:
+    seed, basis, settings = REFERENCE_GROUPS[name]
+    return [cfg(mode=mode, basis=basis, seed=seed, shots=shots, **settings)
+            for mode in ("qnd", "reinit")]
+
+
+def group_slots(configs) -> list[int]:
+    return sorted(set().union(*map(_used_slots, configs)))
+
+
+@functools.lru_cache(maxsize=None)
+def reference_uniforms(seed: int) -> list[float]:
+    return reference_sampler.uniforms(seed, 0, REFERENCE_SHOTS)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_columns(name: str) -> list[dict]:
+    """The reference's algebra on the package's normals of the whole group, as one block."""
+    configs = reference_group(name)
+    z = _normals(configs[0].seed, 0, REFERENCE_SHOTS, group_slots(configs))
+    z = {k: column.tolist() for k, column in z.items()}
+    return [reference_sampler.columns(config, z) for config in configs]
+
+
+class TestReferenceSampler:
+    """The sampler against the NumPy-free ``reference_sampler``, one stage at a time.
+
+    Each stage is fed the package's output of the stage before, so a failure
+    names the stage that moved: the words, the uniforms, the normals or the
+    column algebra.  The seeds and sizes were fixed before the first run.
+    """
+
+    @pytest.mark.parametrize("start", [0, 5, 8191])
+    @pytest.mark.parametrize("seed", [0, 7, SEED, 2**64 - 1])
+    def test_words(self, seed, start):
+        # the stream _normals reads from shot start's window on
+        stream = Philox(key=seed).advance(2 * start).random_raw(3 * DRAWS_PER_SHOT)
+        assert stream.tolist() == reference_sampler.words(seed, start, 3)
+
+    @pytest.mark.parametrize("group", list(REFERENCE_GROUPS))
+    def test_uniforms(self, group):
+        # the package's word-to-uniform map and its clip: _normals is ppnd16
+        # of the reference's uniforms of the group's slots, bit for bit
+        configs = reference_group(group)
+        slots = group_slots(configs)
+        seed = configs[0].seed
+        z = _normals(seed, 0, REFERENCE_SHOTS, slots)
+        u = np.reshape(reference_uniforms(seed), (REFERENCE_SHOTS, DRAWS_PER_SHOT)).T
+        assert list(z) == slots
+        assert same_bits([z[k] for k in slots], ppnd16(u[slots]))
+
+    def test_normals(self):
+        # defect 8: ppnd16 is the stdlib's inv_cdf bit for bit in AS241's
+        # central branch, which takes no log; in the tails NumPy's log may
+        # move a quantile by a few ulps
+        u, expected = [], []
+        for seed in REFERENCE_SEEDS:
+            uniforms = reference_uniforms(seed)
+            u.append(np.reshape(uniforms, (REFERENCE_SHOTS, DRAWS_PER_SHOT)).T)
+            expected.append(list(reference_sampler.normals(uniforms).values()))
+        u, expected = np.hstack(u), np.hstack(expected)
+        got = ppnd16(u)
+        differ = got != expected
+        assert not np.any(differ & (np.abs(u - 0.5) <= 0.425))
+        ulps = np.abs(got[differ].view(np.int64) - expected[differ].view(np.int64))
+        print(f"{differ.sum()} of {u.size} normals differ from inv_cdf, "
+              f"by at most {ulps.max(initial=0)} ulps")
+        assert ulps.max(initial=0) <= 3
+
+    @pytest.mark.parametrize("chunk, shots", [(1, 64), (1000, REFERENCE_SHOTS),
+                                              (8192, REFERENCE_SHOTS)])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("group", list(REFERENCE_GROUPS))
+    def test_algebra(self, monkeypatch, group, workers, chunk, shots):
+        # every column of run_group, the re-derived atoms too, is the
+        # reference's algebra on the group's normals taken as one block,
+        # whatever the chunking and the worker count
+        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", chunk)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)  # a pool on any host
+        runs = run_group(reference_group(group, shots), workers=workers)
+        for run, reference in zip(runs, reference_columns(group)):
+            for name, column in reference.items():
+                assert same_bits(getattr(run, name), column[:shots]), (run.config.mode, name)
+
+    def test_restates_the_package_constants(self):
+        # no stage above reaches the atom-number clip, so its value is compared here
+        assert reference_sampler.MIN_ATOM_FRACTION == MIN_ATOM_FRACTION
+        assert reference_sampler.DRAWS_PER_SHOT == DRAWS_PER_SHOT
+
+    def test_loads_no_numpy(self):
+        tests = str(Path(reference_sampler.__file__).resolve().parent)
+        code = "import sys, reference_sampler; print('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": tests}, timeout=60)
+        assert out.stdout.strip() == "False"
 
 
 def loss(var, eta):
