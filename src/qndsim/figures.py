@@ -4,7 +4,7 @@
 variance-vs-coupling tables, ``conditional`` the conditioned-variance tables;
 :mod:`qndsim.harness` parses their command lines.  Data files are CSV,
 summaries JSON.  One model, :func:`qndsim.montecarlo.predict` (the Gaussian
-core run on the spec's own mode, basis, loss and atom-number spread),
+core's closed form at the spec's own mode, basis, loss and atom-number spread),
 supplies every theory companion and every ``--check`` target; theory
 companions are identical across seeds.  Every emitted file is listed in
 exactly one manifest together with its content hash, the resolved spec, and

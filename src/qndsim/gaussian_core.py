@@ -255,6 +255,23 @@ def condition_on(
     return GaussianState._derived(modes, mean, 0.5 * (cov + cov.T))
 
 
+def two_pulse_moments(k2: float, eta: float, mode: str, basis: str) -> tuple[float, float, float]:
+    """(Var s1, Cov(s1, s2), Var s2) of the two-pulse protocol, in closed form.
+
+    The maps above give these to within rounding.  Pulse k leaves its shear
+    (kappa^2 = ``k2``) as S_ky + kappa * J_z.  No shear touches J_z, which both
+    pulses read under "qnd", while "reinit" puts the atom in vacuum between
+    them: Var = 1/2 + k2/2, Cov = k2/2 ("qnd") or 0.  Loss eta scales each
+    pulse's variance by eta^2 and refills (1 - eta^2)/2, and the covariance by
+    eta^2: with c = eta^2 * k2/2, basis "y" records 1/2 + c, c or 0, 1/2 + c.
+    No shear touches the z quadratures, so basis "z" records vacua: 1/2, 0, 1/2.
+    """
+    if basis == "z":
+        return COHERENT_VARIANCE, 0.0, COHERENT_VARIANCE
+    c = eta * eta * k2 * COHERENT_VARIANCE
+    return COHERENT_VARIANCE + c, c if mode == "qnd" else 0.0, COHERENT_VARIANCE + c
+
+
 def marginal(
     state: GaussianState, mode: ModeLabel
 ) -> tuple[float, float, float, float, float]:

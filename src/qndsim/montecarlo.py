@@ -52,7 +52,7 @@ from statistics import NormalDist
 import numpy as np
 from numpy.random import Philox
 
-from .gaussian_core import ATOM, apply_loss, apply_map, coherent_init, marginal, pulse, qnd_map
+from .gaussian_core import two_pulse_moments
 from .physics import is_finite_real, is_positive_int
 from .stats import _STATISTICS
 
@@ -150,35 +150,18 @@ class Prediction:
 def predict(config: SequenceConfig) -> Prediction:
     """Gaussian-core model of the run ``config`` describes (its seed and shots aside).
 
-    Both pulses couple with strength sqrt(E[kappa_shot^2]) (see
-    :func:`mean_kappa_sq`); "reinit" replaces the atom by a fresh coherent
-    spin between the pulses; each pulse then passes the loss channel eta, and
-    the recorded quadrature is the spec's basis.  kappa_shot is drawn
-    independently of every quadrature, so the second moments are exact under
-    atom-number spread too.  Every statistic of them, the Gaussian (best-linear)
-    Var(s2 | s1) included, is its one formula in :mod:`qndsim.stats`, shared by
-    runs, resamples and the model.  A model that overflows float64 raises
+    The moments are :func:`qndsim.gaussian_core.two_pulse_moments` at
+    K = E[kappa_shot^2], exact under atom-number spread too, since kappa_shot is
+    drawn independently of every quadrature; every statistic of them is its one
+    formula in :mod:`qndsim.stats`.  A model that overflows float64 raises
     ValueError, so no inf or nan moment reaches a theory table or a ``--check`` band.
     """
-    kappa = math.copysign(math.sqrt(mean_kappa_sq(config)), config.kappa_nominal)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            state = apply_map(coherent_init(2), qnd_map(2, 1, kappa))
-            if config.mode == "reinit":
-                state = apply_loss(state, ATOM, 0.0)
-            state = apply_map(state, qnd_map(2, 2, kappa))
-            for k in (1, 2):
-                state = apply_loss(state, pulse(k), config.eta)
-            q = 0 if config.basis == "y" else 1  # pulse k's quadrature sits at 2*k + q
-            var1 = marginal(state, pulse(1))[2 + q]
-            var2 = marginal(state, pulse(2))[2 + q]
-            cov = state.cov[2 + q, 4 + q]  # a NumPy scalar, so an overflowing cov*cov raises
-            cond = _STATISTICS["sigma_cond"](var1, cov, var2)
-            return Prediction(var1=var1, var2=var2, cov=float(cov), cond=float(cond))
-    except FloatingPointError as exc:
-        raise ValueError(
-            f"kappa={config.kappa_nominal!r}: the model overflows float64"
-        ) from exc
+    var1, cov, var2 = two_pulse_moments(mean_kappa_sq(config), config.eta, config.mode, config.basis)
+    # the formula rejects a NaN var1 (eta 0 times an infinite K) as data with no spread
+    cond = _STATISTICS["sigma_cond"](var1, cov, var2) if math.isfinite(var1) else math.nan
+    if not all(map(math.isfinite, (var1, cov, var2, cond))):
+        raise ValueError(f"kappa={config.kappa_nominal!r}: the model overflows float64")
+    return Prediction(var1=var1, var2=var2, cov=cov, cond=cond)
 
 
 @dataclass(frozen=True, eq=False)

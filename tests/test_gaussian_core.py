@@ -241,27 +241,59 @@ class TestOracleIdentities:
         assert excess == pytest.approx(kappa**2 / (2 * (1 + kappa**2)), abs=1e-12)
 
 
-class TestPredictOracle:
-    """predict's moments against one conditioning pass through the public API."""
+def map_pipeline(config):
+    """The protocol through the public maps at predict's K: the state before any pulse is read."""
+    k = math.copysign(math.sqrt(mean_kappa_sq(config)), config.kappa_nominal)
+    state = apply_map(coherent_init(2), qnd_map(2, 1, k))
+    if config.mode == "reinit":
+        state = apply_loss(state, ATOM, 0.0)
+    state = apply_map(state, qnd_map(2, 2, k))
+    for n in (1, 2):
+        state = apply_loss(state, pulse(n), config.eta)
+    return state
 
-    def test_cond_is_the_conditioned_marginal_and_sigmas_the_formulas(self):
-        for mode, basis, eta, spread, kappa in itertools.product(
-            ["qnd", "reinit"], ["y", "z"], [1.0, 0.8, 0.3, 0.0], [0.0, 0.05, 0.45],
-            [0.0, 0.15, 0.62, -1.3, 3.0, 17.0],
+
+def map_moments(config):
+    """(var1, cov, var2, cond, sigma_plus, sigma_minus) of the recorded basis, read off the maps."""
+    state = map_pipeline(config)
+    q = 0 if config.basis == "y" else 1  # pulse n's quadrature sits at 2*n + q
+    sigma = state.cov[np.ix_([2 + q, 4 + q], [2 + q, 4 + q])]
+    conditioned = condition_on(state, pulse(1), config.basis, 0.0)
+    plus, minus = np.array([1.0, 1.0]), np.array([1.0, -1.0])
+    return (sigma[0, 0], sigma[0, 1], sigma[1, 1], marginal(conditioned, pulse(2))[2 + q],
+            plus @ sigma @ plus / 2, minus @ sigma @ minus / 2)
+
+
+class TestPredictOracle:
+    """predict's closed form against the symplectic maps: mode x basis x eta x spread x kappa.
+
+    The two round differently (K against sqrt(K)**2, and the maps' matmul
+    order), so the bound is in ulps: each moment within 4 of its own value,
+    and cond and sigma+- within 8 ulps of var2, twice the largest difference
+    measured; their %.9g text, which every output file holds, is identical.
+    """
+
+    GRID = [
+        *itertools.product(["qnd", "reinit"], [1.0, 0.8, 0.5, 0.0], [0.0, 0.05, 0.45],
+                           np.linspace(-3.0, 3.0, 121).tolist()),
+        *itertools.product(["qnd", "reinit"], [0.3], [0.0, 0.05, 0.45], [17.0, -1.3]),
+    ]
+
+    def test_closed_form_matches_the_maps(self):
+        for mode, eta, spread, kappa, basis in (
+            (*point, basis) for point in self.GRID for basis in ("y", "z")
         ):
             config = SequenceConfig(mode=mode, kappa_nominal=kappa, eta=eta, basis=basis,
                                     atom_fluctuation=spread > 0, spin_rel_std=spread)
-            k = math.copysign(math.sqrt(mean_kappa_sq(config)), kappa)
-            state = apply_map(coherent_init(2), qnd_map(2, 1, k))
-            if mode == "reinit":
-                state = apply_loss(state, ATOM, 0.0)
-            state = apply_map(state, qnd_map(2, 2, k))
-            for n in (1, 2):
-                state = apply_loss(state, pulse(n), eta)
-            q = 2 if basis == "y" else 3
             m = predict(config)
-            conditioned = condition_on(state, pulse(1), basis, 0.0)
-            assert m.cond == marginal(conditioned, pulse(2))[q], config  # bit for bit
+            ours = (m.var1, m.cov, m.var2, m.cond, m.sigma_plus, m.sigma_minus)
+            maps = map_moments(config)
+            for got, want, scale, ulps in zip(ours, maps, maps[:3] + (maps[2],) * 3,
+                                              (4, 4, 4, 8, 8, 8)):
+                assert abs(got - want) <= ulps * math.ulp(scale), (config, ours, maps)
+            assert ["%.9g" % v for v in ours] == ["%.9g" % v for v in maps], config
+            # the statistics are stats' own formulas of predict's moments, bit for bit
+            assert m.cond == _STATISTICS["sigma_cond"](m.var1, m.cov, m.var2), config
             for name in ("sigma_plus", "sigma_minus"):
                 assert getattr(m, name) == _STATISTICS[name](m.var1, m.cov, m.var2), config
 
@@ -312,25 +344,32 @@ class TestStateValidation:
 
     def test_only_built_states_are_validated(self, monkeypatch):
         # the coherent state is valid by construction, and apply_map,
-        # apply_loss and condition_on keep a valid state valid, so a model run
+        # apply_loss and condition_on keep a valid state valid, so the maps'
+        # run of the protocol (the traffic of the benchmark's own model)
         # validates no state
         checked = []
         validate = GaussianState.__post_init__
         monkeypatch.setattr(
             GaussianState, "__post_init__", lambda self: checked.append(validate(self))
         )
-        predict(SequenceConfig(mode="reinit", kappa_nominal=0.62, shots=10, eta=0.8))
+        for basis in ("y", "z"):
+            map_moments(SequenceConfig(mode="reinit", kappa_nominal=0.62, eta=0.8, basis=basis))
         assert len(checked) == 0
+        GaussianState((ATOM,), np.zeros(2), 0.5 * np.eye(2))
+        assert len(checked) == 1
 
     def test_predict_needs_no_eigvalsh(self, monkeypatch):
         # the positive-semidefinite check is the one LAPACK call of validation;
-        # a model run makes none, while a state a user builds still does
+        # neither predict nor the maps' run of the protocol makes one, while a
+        # state a user builds still does
         def no_lapack(*args, **kwargs):
             raise AssertionError("eigvalsh called")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
-        model = predict(SequenceConfig(mode="qnd", kappa_nominal=0.62, shots=10))
+        config = SequenceConfig(mode="qnd", kappa_nominal=0.62, shots=10)
+        model = predict(config)
         assert model.var1 == pytest.approx((1 + 0.62**2) / 2, abs=1e-12)
+        assert map_moments(config)[0] == pytest.approx(model.var1, abs=1e-12)
         with pytest.raises(AssertionError, match="eigvalsh called"):
             GaussianState((ATOM,), np.zeros(2), 0.5 * np.eye(2))
 

@@ -22,7 +22,7 @@ from scipy.special import ndtri
 from scipy.stats import ks_2samp
 
 import qndsim
-from qndsim import montecarlo
+from qndsim import gaussian_core, montecarlo
 from qndsim.montecarlo import (
     DRAWS_PER_SHOT,
     MIN_ATOM_FRACTION,
@@ -773,6 +773,35 @@ class TestPredict:
         # in reinit Cov is 0 and the model is finite there.
         with pytest.raises(ValueError, match=re.escape(f"kappa={kappa!r}: the model overflows")):
             predict(cfg(mode=mode, kappa_nominal=kappa))
+
+    @pytest.mark.parametrize("mode", ["qnd", "reinit"])
+    @pytest.mark.parametrize("kappa", [1.2e154, 1e200])
+    def test_z_basis_is_vacuum_at_any_coupling(self, mode, kappa):
+        # no shear touches the z quadratures, so the recorded moments are the
+        # vacuum's even where kappa**2 overflows float64
+        m = predict(cfg(mode=mode, basis="z", kappa_nominal=kappa))
+        assert (m.var1, m.var2, m.cov, m.cond) == (0.5, 0.5, 0.0, 0.5)
+
+    @pytest.mark.parametrize("mode", ["qnd", "reinit"])
+    def test_no_transmission_at_overflowing_coupling_raises_naming_kappa(self, mode):
+        # eta 0 times an infinite kappa**2 is NaN: the model's overflow, not an
+        # s1 with no spread
+        with pytest.raises(ValueError, match=re.escape("kappa=1e+160: the model overflows")):
+            predict(cfg(mode=mode, eta=0.0, kappa_nominal=1e160))
+        assert predict(cfg(mode=mode, eta=0.0, kappa_nominal=1e150)).cond == 0.5
+
+    def test_predict_builds_no_state_or_map(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("a Gaussian state or map was built")
+
+        for name in ("apply_map", "qnd_map", "apply_loss", "coherent_init", "condition_on"):
+            monkeypatch.setattr(gaussian_core, name, built)
+        monkeypatch.setattr(gaussian_core.GaussianState, "_freeze", built)
+        monkeypatch.setattr(gaussian_core.SymplecticMap, "__post_init__", built)
+        for mode, basis in itertools.product(["qnd", "reinit"], ["y", "z"]):
+            m = predict(cfg(mode=mode, basis=basis, eta=0.8))
+            var = loss((1 + 0.62**2) / 2, 0.8) if basis == "y" else 0.5
+            assert m.var1 == pytest.approx(var, abs=1e-12)
 
     @pytest.mark.parametrize("eta", [0.0, 0.5, 0.8, 0.907])
     def test_loss(self, eta):
