@@ -5,30 +5,24 @@ variance-vs-coupling tables, ``conditional`` the conditioned-variance tables;
 :mod:`qndsim.harness` parses their command lines.  Data files are CSV,
 summaries JSON.  One model, :func:`qndsim.montecarlo.predict` (the Gaussian
 core's closed form at the spec's own mode, basis, loss and atom-number spread),
-supplies every theory companion and every ``--check`` target; theory
-companions are identical across seeds.  Every emitted file is listed in
-exactly one manifest together with its content hash, the resolved spec, and
-the seed, so a run can be reproduced byte for byte; each command returns the
-manifest it writes, the one record of its files.
+supplies every ``--check`` target, one call per grid point and mode, and each
+theory companion, one call over its whole coupling axis; theory companions
+are identical across seeds.  Every emitted file is listed in exactly one
+manifest together with its content hash, the resolved spec, and the seed, so
+a run can be reproduced byte for byte; each command returns the manifest it
+writes, the one record of its files.
 
-Every file goes through one write path, in a single pass: a table is handed
-over as its columns, each block of rows is interleaved from the columns'
-slices and turned into ``%.9g`` text by NumPy arithmetic (byte for byte what
-``%`` writes; a value that could round differently, such as a near-tie, is
-formatted by ``%`` itself), and each block is written and hashed before the
-next is formatted; no caller builds a row table, and the manifest takes the
-digests and never re-reads a file.
-``sweep`` and ``conditional`` share one driver, :func:`_sweep`: each figure
-declares its statistics once, as (name, estimate, SE, model target), and the
-driver builds both the table columns and the ``--check`` bands from them.
-Both squeezing columns of ``conditional``, data and theory, are
+Every table is written by :func:`_write_csv` from its columns, in one pass
+that hashes each block as it is written, so the manifest never re-reads a
+file.  ``sweep`` and ``conditional`` share one driver, :func:`_sweep`: each
+figure declares its statistics once, as (name, estimate, SE, model target),
+and the driver builds both the table columns and the ``--check`` bands from
+them.  Both squeezing columns of ``conditional``, data and theory, are
 :func:`qndsim.stats.squeezing_db` of the total and the conditional excess.
 Every command summarises each run as it is sampled and drops it before
-sampling the next.  ``joint`` so holds one run's columns at a time, and a
-sweep one grid point's: point ``i`` of every mode runs on
-``sweep_seed(seed, i)``, so the modes' runs share their Philox windows and
-their s1 (common random numbers), and the point's columns are s1 once plus
-each mode's s2.
+sampling the next, so ``joint`` holds one run's columns at a time and a
+sweep one grid point's: s1 once, shared by the point's modes (common random
+numbers), plus each mode's s2.
 
 A spec that fails raises :class:`SpecError`, a ``--check`` that fails
 :class:`CheckFailure`; the CLI maps them to exit codes 2 and 4.  This module
@@ -383,7 +377,7 @@ def _sweep(spec, stem, modes, point, theory, header, theory_header, check, worke
     ``point(run, model)`` gives a run's statistics, each a (name, estimate,
     SE, model target) tuple feeding both its table columns and ``--check``,
     and its unchecked extra columns: a row is kappa, the estimates, the
-    extras, then the SEs.  ``theory(config)`` gives a theory row after kappa.
+    extras, then the SEs.  ``theory(seq, kappas)`` gives the theory columns after kappa.
     Every model runs before any run is sampled, and the output directory is
     created once the whole grid is summarised, so an error while sampling or
     estimating, a bad ``workers`` included, leaves no directory behind.
@@ -403,9 +397,8 @@ def _sweep(spec, stem, modes, point, theory, header, theory_header, check, worke
         for i, kappa in enumerate(grid)
     ]
     models = [[predict(config) for config in group] for group in groups]
-    theory_rows = [
-        (k, *theory(replace(seq, kappa_nominal=float(k)))) for k in _theory_kappas(grid)
-    ]
+    kappas = _theory_kappas(grid)
+    theory_columns = [kappas, *theory(seq, kappas)]
     # the inner comprehension drops a point's runs once summarised, before the
     # next point is sampled: one point's s1 and each mode's s2 are held
     summaries = [
@@ -425,7 +418,7 @@ def _sweep(spec, stem, modes, point, theory, header, theory_header, check, worke
         path = outdir / ("_".join([spec.name, stem, *tag]) + ".csv")
         files[path] = _write_csv(path, header, list(zip(*rows)))
     theory_path = outdir / f"{spec.name}_{stem}_theory.csv"
-    files[theory_path] = _write_csv(theory_path, theory_header, list(zip(*theory_rows)))
+    files[theory_path] = _write_csv(theory_path, theory_header, theory_columns)
     manifest = _emit_manifest(outdir, spec, f"{stem}_sweep", files)
     if failures:
         raise CheckFailure("; ".join(failures))
@@ -449,8 +442,8 @@ def cmd_variance_sweep(
             ("sigma_minus", vs.sigma_minus, vs.se_minus, model.sigma_minus),
         ), ()
 
-    def theory(config):  # the correlated protocol's curves, whichever modes ran
-        model = predict(replace(config, mode="qnd"))
+    def theory(seq, kappas):  # the correlated protocol's curves, whichever modes ran
+        model = predict(replace(seq, mode="qnd"), kappas)
         return model.var1, model.sigma_plus, model.sigma_minus
 
     return _sweep(
@@ -472,11 +465,10 @@ def cmd_conditional_sweep(
             ("conditional excess", cond.sigma_cond - 0.5, cond.se_cond, model.cond - 0.5),
         ), (cond.squeezing_db,)
 
-    def theory(config):
-        model = predict(config)
-        total, conditional = model.var2 - 0.5, model.cond - 0.5
-        ideal = stats.squeezing_db(total, conditional) if config.kappa_nominal else math.nan
-        return total, conditional, ideal
+    def theory(seq, kappas):  # squeezing_db is NaN where no atomic signal reaches s2
+        model = predict(seq, kappas)
+        total, conditional = (model.var2 - 0.5).tolist(), (model.cond - 0.5).tolist()
+        return total, conditional, list(map(stats.squeezing_db, total, conditional))
 
     return _sweep(
         spec, "conditional", [None], point, theory,

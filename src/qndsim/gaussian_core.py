@@ -264,12 +264,12 @@ def two_pulse_moments(k2: float, eta: float, mode: str, basis: str) -> tuple[flo
     them: Var = 1/2 + k2/2, Cov = k2/2 ("qnd") or 0.  Loss eta scales each
     pulse's variance by eta^2 and refills (1 - eta^2)/2, and the covariance by
     eta^2: with c = eta^2 * k2/2, basis "y" records 1/2 + c, c or 0, 1/2 + c.
-    No shear touches the z quadratures, so basis "z" records vacua: 1/2, 0, 1/2.
+    No shear touches the z quadratures, so basis "z" records vacua: c = 0.
+    ``k2`` may be a float array: each moment is then elementwise in it.
     """
-    if basis == "z":
-        return COHERENT_VARIANCE, 0.0, COHERENT_VARIANCE
-    c = eta * eta * k2 * COHERENT_VARIANCE
-    return COHERENT_VARIANCE + c, c if mode == "qnd" else 0.0, COHERENT_VARIANCE + c
+    zero = np.zeros_like(k2, dtype=float)[()]  # a scalar for a scalar k2
+    c = zero if basis == "z" else eta * eta * k2 * COHERENT_VARIANCE
+    return COHERENT_VARIANCE + c, c if mode == "qnd" else zero, COHERENT_VARIANCE + c
 
 
 def marginal(

@@ -79,7 +79,7 @@ class SequenceConfig:
     records the coupled quadratures, basis "z" the untouched ones.  eta is
     the per-pulse loss transmission (1.0 = lossless).  spin_rel_std is the
     relative shot-to-shot spread of the atom number, active only when
-    atom_fluctuation is set.
+    atom_fluctuation is set; ``spread`` is the one the sampler draws.
     """
 
     mode: str
@@ -115,12 +115,16 @@ class SequenceConfig:
         if not 0 <= self.seed <= _U64:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
+    spread = property(lambda self: self.spin_rel_std if self.atom_fluctuation else 0.0,
+                      doc="The atom-number spread the sampler draws: 0.0 when switched off.")
 
-def mean_kappa_sq(config: SequenceConfig) -> float:
-    """E[kappa_shot^2] of the sampler: kappa^2 * E[max(1 + r*z, MIN_ATOM_FRACTION)]."""
-    k2 = config.kappa_nominal * config.kappa_nominal
-    r = config.spin_rel_std
-    if not (config.atom_fluctuation and r > 0.0):
+
+def mean_kappa_sq(config: SequenceConfig, kappa=None):
+    """E[kappa_shot^2] = kappa^2 * E[max(1 + r*z, MIN_ATOM_FRACTION)], ``kappa`` as in predict."""
+    kappa = config.kappa_nominal if kappa is None else kappa
+    k2 = kappa * kappa
+    r = config.spread
+    if not r > 0.0:
         return k2
     a = (MIN_ATOM_FRACTION - 1.0) / r  # the clip bites for z below a
     nd = NormalDist()
@@ -129,38 +133,41 @@ def mean_kappa_sq(config: SequenceConfig) -> float:
 
 @dataclass(frozen=True)
 class Prediction:
-    """Model moments of the recorded quadratures s1, s2 and Var(s2 | s1)."""
+    """Model moments of the recorded quadratures s1, s2 and Var(s2 | s1), elementwise in kappa."""
 
     var1: float
     var2: float
     cov: float
     cond: float
 
-    @property
-    def sigma_plus(self) -> float:
-        """Var(s1 + s2)/2."""
-        return _STATISTICS["sigma_plus"](self.var1, self.cov, self.var2)
-
-    @property
-    def sigma_minus(self) -> float:
-        """Var(s1 - s2)/2."""
-        return _STATISTICS["sigma_minus"](self.var1, self.cov, self.var2)
+    sigma_plus = property(lambda self: _STATISTICS["sigma_plus"](self.var1, self.cov, self.var2),
+                          doc="Var(s1 + s2)/2.")
+    sigma_minus = property(lambda self: _STATISTICS["sigma_minus"](self.var1, self.cov, self.var2),
+                           doc="Var(s1 - s2)/2.")
 
 
-def predict(config: SequenceConfig) -> Prediction:
+def predict(config: SequenceConfig, kappa=None) -> Prediction:
     """Gaussian-core model of the run ``config`` describes (its seed and shots aside).
 
-    The moments are :func:`qndsim.gaussian_core.two_pulse_moments` at
-    K = E[kappa_shot^2], exact under atom-number spread too, since kappa_shot is
-    drawn independently of every quadrature; every statistic of them is its one
-    formula in :mod:`qndsim.stats`.  A model that overflows float64 raises
-    ValueError, so no inf or nan moment reaches a theory table or a ``--check`` band.
+    ``kappa``, a float or a float array, defaults to the config's kappa_nominal;
+    every field is elementwise in it, each point bit for bit the call at that
+    coupling alone.  The moments are :func:`qndsim.gaussian_core.two_pulse_moments`
+    at K = E[kappa_shot^2], exact under atom-number spread too, since kappa_shot
+    is drawn independently of every quadrature; every statistic of them is its
+    one formula in :mod:`qndsim.stats`.  A model that overflows float64 raises
+    ValueError naming the first coupling that does, so no inf or nan moment
+    reaches a theory table or a ``--check`` band.
     """
-    var1, cov, var2 = two_pulse_moments(mean_kappa_sq(config), config.eta, config.mode, config.basis)
-    # the formula rejects a NaN var1 (eta 0 times an infinite K) as data with no spread
-    cond = _STATISTICS["sigma_cond"](var1, cov, var2) if math.isfinite(var1) else math.nan
-    if not all(map(math.isfinite, (var1, cov, var2, cond))):
-        raise ValueError(f"kappa={config.kappa_nominal!r}: the model overflows float64")
+    kappa = config.kappa_nominal if kappa is None else kappa
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        var1, cov, var2 = two_pulse_moments(mean_kappa_sq(config, kappa), config.eta,
+                                            config.mode, config.basis)
+        # the formula rejects a NaN var1 (eta 0 times an infinite K) as an s1 with no spread
+        cond = _STATISTICS["sigma_cond"](np.where(np.isnan(var1), np.inf, var1), cov, var2)
+    finite = np.isfinite([var1, cov, var2, cond]).all(axis=0)
+    if not finite.all():
+        first = np.ravel(kappa).tolist()[np.argmin(finite)]
+        raise ValueError(f"kappa={first!r}: the model overflows float64")
     return Prediction(var1=var1, var2=var2, cov=cov, cond=cond)
 
 
@@ -302,7 +309,7 @@ def ppnd16(p) -> np.ndarray:
 def _used_slots(config: SequenceConfig) -> list[int]:
     """The window slots ``config`` turns into normals, in ascending order."""
     slots = {1, 3, 4}
-    if config.atom_fluctuation and config.spin_rel_std > 0.0:
+    if config.spread > 0.0:
         slots.add(0)
     if config.mode == "reinit":
         slots.add(2)
@@ -341,8 +348,8 @@ def _columns(configs: list[SequenceConfig], z: dict[int, np.ndarray]) -> dict:
     refill = math.sqrt((1.0 - config.eta**2) * 0.5)
 
     kappa_shot = config.kappa_nominal  # a constant column without atom-number spread
-    if config.atom_fluctuation and config.spin_rel_std > 0.0:
-        atom_scale = np.maximum(1.0 + config.spin_rel_std * z[0], MIN_ATOM_FRACTION)
+    if config.spread > 0.0:
+        atom_scale = np.maximum(1.0 + config.spread * z[0], MIN_ATOM_FRACTION)
         kappa_shot = config.kappa_nominal * np.sqrt(atom_scale)
 
     def record(light: int, jz, vacuum: int) -> np.ndarray:

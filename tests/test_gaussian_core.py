@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from qndsim.gaussian_core import (
     pulse,
     qnd_map,
 )
+from qndsim.figures import _theory_kappas
 from qndsim.montecarlo import SequenceConfig, mean_kappa_sq, predict
-from qndsim.stats import _STATISTICS
+from qndsim.stats import _STATISTICS, squeezing_db
 
 kappas = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -296,6 +298,30 @@ class TestPredictOracle:
             assert m.cond == _STATISTICS["sigma_cond"](m.var1, m.cov, m.var2), config
             for name in ("sigma_plus", "sigma_minus"):
                 assert getattr(m, name) == _STATISTICS[name](m.var1, m.cov, m.var2), config
+
+    # the figures' theory axes: from 0 to the grid value of largest magnitude
+    THEORY_GRIDS = [(0.0, 0.15, 0.3, 0.45, 0.62), (-3.0, 0.0, 3.0), (1.7,), (0.0,), (-0.636,)]
+
+    def test_coupling_axis_is_the_scalar_model_elementwise(self):
+        # one call over a theory axis is, bit for bit, a call per coupling; its
+        # squeezing needs no kappa guard, since the total excess is 0 at kappa 0
+        for mode, basis, eta, spread, grid in itertools.product(
+            ["qnd", "reinit"], ["y", "z"], [1.0, 0.8, 0.5, 0.0], [0.0, 0.05, 0.45],
+            self.THEORY_GRIDS,
+        ):
+            config = SequenceConfig(mode=mode, kappa_nominal=0.62, eta=eta, basis=basis,
+                                    atom_fluctuation=spread > 0, spin_rel_std=spread)
+            kappas = _theory_kappas(grid)
+            m = predict(config, kappas)
+            ours = np.array([m.var1, m.cov, m.var2, m.cond, m.sigma_plus, m.sigma_minus,
+                             list(map(squeezing_db, (m.var2 - 0.5).tolist(),
+                                      (m.cond - 0.5).tolist()))])
+            want = []
+            for k in kappas.tolist():
+                s = predict(replace(config, kappa_nominal=k))
+                db = squeezing_db(s.var2 - 0.5, s.cond - 0.5) if k else math.nan
+                want.append([s.var1, s.cov, s.var2, s.cond, s.sigma_plus, s.sigma_minus, db])
+            assert ours.tobytes() == np.array(want).T.tobytes(), config
 
 
 class TestStateValidation:

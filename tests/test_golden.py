@@ -12,6 +12,9 @@ README's fig3 spec, and were recorded before the sampler moved from
 ratio of the two excesses, and again when the conditional variance became
 the regression residual v2 - c**2/v1, deliberate changes of its
 ``sigma_cond_minus_half``, ``squeezing_db`` and ``se_cond`` columns alone.
+The two theory files were recorded later, from the closed-form model
+evaluated one theory row at a time, just before the rows became one model
+call over the whole coupling axis.
 The bootstrap intervals are ``float.hex`` of ``bootstrap_ci`` for every
 estimator, recorded with the resample-at-a-time loop and one pass per
 estimator, before the blocked evaluation and the shared pass replaced them;
@@ -78,6 +81,8 @@ FIG3_DIGESTS = {
     "fig3_variance_qnd.csv": "3e5948e63be194b514061b59b0d111c499d7415e2a31949fbb222a81daf98cec",
     "fig3_variance_reinit.csv": "2d1f56a30a623f32b5b78ce0179d42f8dc8f83b38946f09854f39b84eb24bc73",
     "fig3_conditional.csv": "7080f2041c7d1e76025d7efa15ff36226c34ac8ace8f8991afe293eb7785f38f",
+    "fig3_variance_theory.csv": "6155c6c275a057431cc0a9960e5f51f1f0e8fc6f898c42acdcceb283e7853102",
+    "fig3_conditional_theory.csv": "aee1c1c178b82b7aa199589bd56bc3f8a8fec488d6dc4ed21f2a2f04a2df0d1f",
 }
 
 
@@ -101,7 +106,7 @@ def test_column_digest(mode, basis, variant):
 def test_fig3_data_files(tmp_path):
     spec = spec_from_mapping({**FIG3, "outputs": str(tmp_path)})
     manifests = [cmd_joint(spec), cmd_variance_sweep(spec), cmd_conditional_sweep(spec)]
-    written = sorted(name for m in manifests for name in m["files"] if "_theory" not in name)
+    written = sorted(name for m in manifests for name in m["files"])
     assert written == sorted(FIG3_DIGESTS)
     for name, digest in FIG3_DIGESTS.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

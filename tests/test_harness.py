@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -605,6 +606,25 @@ class TestCliEntry:
         assert main([command, "--spec", str(path), *check]) == 2
         assert capsys.readouterr().err == "error: kappa=1e+160: the model overflows float64\n"
         assert list((tmp_path / "out").glob("*")) == []
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_qnd_theory_exit_2_before_sampling(self, tmp_path, monkeypatch, capsys):
+        # the reinit points' model is finite at 1e78 (Cov is 0), but the
+        # variance figure's theory is the qnd protocol's, whose Var(s2 | s1)
+        # overflows first at the 21st of the 121 theory couplings; NumPy's
+        # float64 arithmetic warns there, where a Python float does not
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(figures, "run_group", no_sampling)
+        monkeypatch.setattr(figures, "run_sequence", no_sampling)
+        path = write_spec(tmp_path, kappa_grid=[0.0, 1e78])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sweep", "--spec", str(path), "--mode", "reinit", "--check"]) == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err
+        assert err == "error: kappa=1.6666666666666667e+77: the model overflows float64\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["joint", "sweep"])

@@ -802,6 +802,8 @@ class TestPredict:
             m = predict(cfg(mode=mode, basis=basis, eta=0.8))
             var = loss((1 + 0.62**2) / 2, 0.8) if basis == "y" else 0.5
             assert m.var1 == pytest.approx(var, abs=1e-12)
+            axis = predict(cfg(mode=mode, basis=basis, eta=0.8), np.array([0.0, 0.62]))
+            assert axis.var1.tolist() == [0.5, m.var1]
 
     @pytest.mark.parametrize("eta", [0.0, 0.5, 0.8, 0.907])
     def test_loss(self, eta):
