@@ -355,8 +355,11 @@ def cmd_joint(spec: ExperimentSpec, workers: int = 1) -> dict:
 
 
 def _theory_kappas(grid: tuple[float, ...]) -> np.ndarray:
-    """Theory abscissa: 0 to the grid value of largest magnitude (1 if all zero)."""
-    return np.linspace(0.0, max(grid, key=abs) or 1.0, THEORY_POINTS)
+    """Theory abscissa: 0 to the grid value of largest magnitude (1 if all zero).
+
+    The end is made a float: linspace would make a Python int past int64 an object array.
+    """
+    return np.linspace(0.0, float(max(grid, key=abs)) or 1.0, THEORY_POINTS)
 
 
 def _band_failures(label: str, points) -> list[str]:

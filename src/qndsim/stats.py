@@ -15,21 +15,28 @@ fourth-moment formula Var(sample variance) = 2*sigma^4/(n-1); sigma_cond's
 is sqrt(Var(r**2)/n) over the centred residuals r, with no Gaussian form
 assumed; the bootstrap is available as an independent cross-check.
 
-One pass, _moments, takes (v1, c, v2) of a run or of each row of a block
-of resamples, v1 and v2 bit for bit np.var with ddof=1.  Beside the data it
-holds one scratch of the data's shape and a chunk buffer, BLOCK_DRAWS shots
-wide on a run, so variances and binned_conditional each hold one run-sized
-temporary; a bootstrap block of about 2**14 draws stays in cache.
+Two moment passes, one arithmetic.  The run pass, _moments, takes (v1, c,
+v2) of a run, v1 and v2 bit for bit np.var with ddof=1.  It only reads the
+run's read-only columns, and beside them holds one run-sized scratch and a
+chunk buffer BLOCK_DRAWS shots wide, so variances and binned_conditional
+each hold one run-sized temporary.  The block pass, in bootstrap_ci, takes
+the moments of each resample of a block of about 2**14 draws, which stays
+in cache.  It owns its gathered block, so it centres and squares in place,
+and both records share each NumPy call.  Each row's moment is the same
+pairwise sum of the same centred row over n - 1, so every resample's (v1,
+c, v2) is bit for bit the run pass on that resample; test_stats.py's
+test_block_pass_is_the_run_pass and test_rows_are_the_runs_estimate hold
+the two equal.
 
 Bootstrap draw rule: each block's index rows come from one ``integers``
 call, which draws exactly what one call per row would, since the spare
 half of a 64-bit Philox word is kept in the generator's state, not in the
 call.  So neither the draws nor the intervals depend on the block size.
-bootstrap_ci allocates its four block buffers (the gathered s1 and s2, the
-moment pass's scratch and its buffer) once per pass, at the first and
-largest block's shape, and every block refills their leading rows, since
-freeing block-sized arrays after every block lets the C allocator trim the
-heap and fault the pages back in for the next.
+bootstrap_ci allocates its three block buffers (the gathered s1 and s2 as
+one (2, rows, n) array, and the centred product) once per pass, at the
+first and largest block's shape, and every block refills their leading
+rows, since freeing block-sized arrays after every block lets the C
+allocator trim the heap and fault the pages back in for the next.
 
 Bootstrap memo rule: one moment pass per run, seed and resample count.
 bootstrap_ci keeps each resample's (v1, c, v2) on the run, for its latest
@@ -112,15 +119,15 @@ _STATISTICS = {
 
 
 def _moments(x, y, scratch, buf):
-    """Bessel-corrected v1 = Var(x), c = Cov(x, y) and v2 = Var(y) along the last axis.
+    """The run pass: Bessel-corrected v1 = Var(x), c = Cov(x, y), v2 = Var(y) on the last axis.
 
-    x and y are a run's s1 and s2, or (m, n) blocks of them, and are only
-    read.  scratch has their shape; buf has their leading shape and any
-    width.  c's centred product is formed into scratch a buffer's width at
-    a time, so each moment is the pairwise sum of a whole centred row over
-    n - 1: v1 and v2 are bit for bit x.var and y.var with ddof=1, and no
-    moment depends on the width.  A buffer that spans the row still holds
-    x's centred row after c, and v1 is taken in it.
+    x and y are a run's s1 and s2 (or stacks of rows), and are only read.
+    scratch has their shape; buf has their leading shape and any width.
+    c's centred product is formed into scratch a buffer's width at a time,
+    so each moment is the pairwise sum of a whole centred row over n - 1:
+    v1 and v2 are bit for bit x.var and y.var with ddof=1, and no moment
+    depends on the width.  A buffer that spans the row still holds x's
+    centred row after c, and v1 is taken in it.
     """
     n = x.shape[-1]
     mean_x = x.mean(axis=-1, keepdims=True)
@@ -229,12 +236,16 @@ def bootstrap_ci(
     sampler); level is a real in (0, 1).  Each block of
     max(1, BLOCK_DRAWS // n) resamples is drawn by one
     ``rng.integers(0, n, size=(rows, n))`` call, the same draws as one call
-    per row, so the block size changes no draw and no value.  Each
-    resample's (v1, c, v2) is taken by the moment pass that variances and
-    binned_conditional take on the run, and each estimator is its formula
-    of them.  The moments are kept on the run for its latest seed and
-    resamples and go with the run, so asking again for any estimator, at
-    any level, draws nothing.
+    per row, so the block size changes no draw and no value.  The block
+    pass gathers a block's s1 and s2 rows into one (2, rows, n) array and
+    centres and squares it in place: each row's mean is ndarray.mean's
+    arithmetic (the pairwise row sum over n), and each moment the pairwise
+    sum of its centred row, divided by n - 1 once for the whole pass.  So
+    each resample's (v1, c, v2) is bit for bit what the run pass of
+    variances and binned_conditional gives on that resample, and each
+    estimator is its formula of them.  The moments are kept on the run for
+    its latest seed and resamples and go with the run, so asking again for
+    any estimator, at any level, draws nothing.
     """
     if estimator not in _STATISTICS:
         raise ValueError(
@@ -255,15 +266,22 @@ def bootstrap_ci(
         rows = min(max(1, BLOCK_DRAWS // n), resamples)
         rng = Generator(Philox(key=seed))
         moments = np.empty((3, resamples))
-        x, y, scratch, buf = (np.empty((rows, n)) for _ in range(4))
+        xy, prod = np.empty((2, rows, n)), np.empty((rows, n))
         for start in range(0, resamples, rows):
             m = min(rows, resamples - start)
             idx = rng.integers(0, n, size=(m, n))
             # indices are in range by construction; mode "clip" lets take fill
             # ``out`` directly, where the default mode would allocate a copy
-            s1.take(idx, out=x[:m], mode="clip")
-            s2.take(idx, out=y[:m], mode="clip")
-            moments[:, start:start + m] = _moments(x[:m], y[:m], scratch[:m], buf[:m])
+            s1.take(idx, out=xy[0, :m], mode="clip")
+            s2.take(idx, out=xy[1, :m], mode="clip")
+            block, out = xy[:, :m], moments[:, start:start + m]
+            # ndarray.mean's arithmetic: the pairwise row sum over n
+            mean = np.add.reduce(block, axis=-1, keepdims=True)
+            mean /= n
+            block -= mean
+            np.add.reduce(np.multiply(block[0], block[1], out=prod[:m]), axis=-1, out=out[1])
+            np.add.reduce(np.square(block, out=block), axis=-1, out=out[::2])
+        moments /= n - 1
         _MEMO[data] = (seed, resamples), moments
     values = _STATISTICS[estimator](*moments)
     alpha = (1.0 - level) / 2.0

@@ -612,20 +612,34 @@ class TestCliEntry:
         # the reinit points' model is finite at 1e78 (Cov is 0), but the
         # variance figure's theory is the qnd protocol's, whose Var(s2 | s1)
         # overflows first at the 21st of the 121 theory couplings; NumPy's
-        # float64 arithmetic warns there, where a Python float does not
+        # float64 arithmetic warns there, where a Python float does not.  The
+        # JSON integer 10**78, past int64, is the same coupling
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled")
 
         monkeypatch.setattr(figures, "run_group", no_sampling)
         monkeypatch.setattr(figures, "run_sequence", no_sampling)
-        path = write_spec(tmp_path, kappa_grid=[0.0, 1e78])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["sweep", "--spec", str(path), "--mode", "reinit", "--check"]) == 2
-        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
-        err = capsys.readouterr().err
-        assert err == "error: kappa=1.6666666666666667e+77: the model overflows float64\n"
-        assert not (tmp_path / "out").exists()
+        for end in (1e78, 10**78):
+            path = write_spec(tmp_path, kappa_grid=[0, end])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["sweep", "--spec", str(path), "--mode", "reinit", "--check"]) == 2
+            assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+            err = capsys.readouterr().err
+            assert err == "error: kappa=1.6666666666666667e+77: the model overflows float64\n"
+            assert not (tmp_path / "out").exists()
+
+    def test_grid_integer_past_int64_is_its_float(self, tmp_path):
+        # the theory abscissa ends at the float of the grid's largest entry: a
+        # Python int past int64 would make np.linspace build an object array
+        files = []
+        for end in (1e20, 10**20):
+            out = tmp_path / type(end).__name__
+            path = write_spec(tmp_path, kappa_grid=[0, end], outputs=str(out))
+            assert main(["conditional", "--spec", str(path)]) == 0
+            files.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+        assert sorted(files[0]) == ["t_conditional.csv", "t_conditional_theory.csv"]
+        assert files[1] == files[0]
 
     @pytest.mark.parametrize("command", ["joint", "sweep"])
     @pytest.mark.parametrize("key", ["name", "outputs"])

@@ -447,6 +447,22 @@ class TestBootstrap:
             assert (rows["sigma_plus"][i], rows["sigma_minus"][i]) == (vs.sigma_plus,
                                                                        vs.sigma_minus)
 
+    @pytest.mark.parametrize("n, resamples", [(33, 500), (2600, 37), (16385, 3)])
+    def test_block_pass_is_the_run_pass(self, n, resamples):
+        # the in-place block pass against the run pass, bit for bit, at
+        # blocks of 496, 6 and 1 rows; 500 and 37 leave a partial last block
+        data = run(shots=n)
+        bootstrap_ci(data, "sigma_cond", resamples=resamples, seed=1)
+        moments = stats._MEMO[data][1]
+        idx = Generator(Philox(key=1)).integers(0, n, size=(resamples, n))
+        for (v1, c, v2), row in zip(moments.T, idx):
+            resample = columns(data.s1[row], data.s2[row])
+            scratch, buf = np.empty(n), np.empty(min(n, stats.BLOCK_DRAWS))
+            assert (v1, c, v2) == stats._moments(resample.s1, resample.s2, scratch, buf)
+            vs, cond = variances(resample), binned_conditional(resample)
+            assert (v1, v2) == (vs.sigma1, vs.sigma2)
+            assert stats._conditional(v1, c, v2) == cond.sigma_cond
+
     def test_sigma_cond_blocks_refill_their_scratch(self, monkeypatch):
         # a pass allocates its block buffers once, not once per block: fresh
         # block-sized arrays in every block let the allocator trim and
