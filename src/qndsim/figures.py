@@ -121,23 +121,18 @@ class ExperimentSpec:
         object.__setattr__(self, "kappas", kappas)
 
 
-def spec_from_mapping(raw: dict, source: str = "<spec>") -> ExperimentSpec:
-    return _build_spec(raw, source)
-
-
-def _build_spec(raw: dict, source: str, seed=None, shots=None, out=None) -> ExperimentSpec:
-    """The spec of ``raw``, built once: :func:`load_spec`'s overrides go in before the check."""
+def spec_from_mapping(raw: dict, source: str = "<spec>", *,
+                      seed=None, shots=None, out=None) -> ExperimentSpec:
+    """The spec of ``raw``, built once: the overrides seed, shots and out go in before the check."""
     if not isinstance(raw, dict):
         raise SpecError(f"{source}: expected a JSON object")
-    known = {"name", "physics_sheet", "sequence", "kappa_grid", "photon_grid", "outputs"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(ExperimentSpec)}
     if unknown:
         raise SpecError(f"{source}: unknown key(s) {sorted(unknown)}")
     seq_raw = raw.get("sequence")
     if not isinstance(seq_raw, dict):
         raise SpecError(f"{source}: 'sequence' must be an object")
-    allowed = {f.name for f in fields(SequenceConfig)}
-    bad = set(seq_raw) - allowed
+    bad = set(seq_raw) - {f.name for f in fields(SequenceConfig)}
     if bad:
         raise SpecError(f"{source}: unknown sequence key(s) {sorted(bad)}")
     try:
@@ -150,15 +145,9 @@ def _build_spec(raw: dict, source: str, seed=None, shots=None, out=None) -> Expe
                 sequence = replace(sequence, **{key: value})
             except ValueError as exc:
                 raise SpecError(f"{flag}: {exc}") from exc
+    out_override = {} if out is None else {"outputs": out}
     try:
-        return ExperimentSpec(
-            name=raw.get("name", ""),
-            physics_sheet=raw.get("physics_sheet"),
-            sequence=sequence,
-            kappa_grid=raw.get("kappa_grid"),
-            photon_grid=raw.get("photon_grid"),
-            outputs=raw.get("outputs", "out") if out is None else out,
-        )
+        return ExperimentSpec(**{"name": "", **raw, "sequence": sequence, **out_override})
     except (TypeError, ValueError) as exc:
         raise SpecError(f"{source}: {exc}") from exc
 
@@ -170,7 +159,8 @@ def load_spec(
     out: str | None = None,
 ) -> ExperimentSpec:
     """Load a spec file and apply command-line overrides."""
-    return _build_spec(_read_json(path, SpecError), str(path), seed, shots, out)
+    return spec_from_mapping(_read_json(path, SpecError), str(path),
+                             seed=seed, shots=shots, out=out)
 
 
 _BLOCK_ROWS = 2048  # table rows formatted at once: bounds the temporaries (about 280 B a value)

@@ -47,7 +47,6 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
-from statistics import NormalDist
 
 import numpy as np
 from numpy.random import Philox
@@ -127,8 +126,9 @@ def mean_kappa_sq(config: SequenceConfig, kappa=None):
     if not r > 0.0:
         return k2
     a = (MIN_ATOM_FRACTION - 1.0) / r  # the clip bites for z below a
-    nd = NormalDist()
-    return k2 * (MIN_ATOM_FRACTION * nd.cdf(a) + (1.0 - nd.cdf(a)) + r * nd.pdf(a))
+    cdf = 0.5 * (1.0 + math.erf(a / math.sqrt(2.0)))  # NormalDist().cdf(a), bit for bit
+    pdf = math.exp(a * a / -2.0) / math.sqrt(math.tau)  # and its pdf(a)
+    return k2 * (MIN_ATOM_FRACTION * cdf + (1.0 - cdf) + r * pdf)
 
 
 @dataclass(frozen=True)

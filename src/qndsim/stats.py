@@ -16,17 +16,17 @@ is sqrt(Var(r**2)/n) over the centred residuals r, with no Gaussian form
 assumed; the bootstrap is available as an independent cross-check.
 
 Two moment passes, one arithmetic.  The run pass, _moments, takes (v1, c,
-v2) of a run, v1 and v2 bit for bit np.var with ddof=1.  It only reads the
-run's read-only columns, and beside them holds one run-sized scratch and a
-chunk buffer BLOCK_DRAWS shots wide, so variances and binned_conditional
-each hold one run-sized temporary.  The block pass, in bootstrap_ci, takes
-the moments of each resample of a block of about 2**14 draws, which stays
-in cache.  It owns its gathered block, so it centres and squares in place,
-and both records share each NumPy call.  Each row's moment is the same
-pairwise sum of the same centred row over n - 1, so every resample's (v1,
-c, v2) is bit for bit the run pass on that resample; test_stats.py's
-test_block_pass_is_the_run_pass and test_rows_are_the_runs_estimate hold
-the two equal.
+v2) of one run's two 1-D records, v1 and v2 bit for bit np.var with ddof=1.
+It only reads the run's read-only columns, and beside them holds one
+run-sized scratch and its own chunk buffer of at most BLOCK_DRAWS shots, so
+variances and binned_conditional each hold one run-sized temporary.  The
+block pass, in bootstrap_ci, takes the moments of each resample of a block
+of about 2**14 draws, which stays in cache.  It owns its gathered block, so
+it centres and squares in place, and both records share each NumPy call.
+Each row's moment is the same pairwise sum of the same centred row over
+n - 1, so every resample's (v1, c, v2) is bit for bit the run pass on that
+resample; test_stats.py's test_block_pass_is_the_run_pass and
+test_rows_are_the_runs_estimate hold the two equal.
 
 Bootstrap draw rule: each block's index rows come from one ``integers``
 call, which draws exactly what one call per row would, since the spare
@@ -118,32 +118,27 @@ _STATISTICS = {
 }
 
 
-def _moments(x, y, scratch, buf):
-    """The run pass: Bessel-corrected v1 = Var(x), c = Cov(x, y), v2 = Var(y) on the last axis.
+def _moments(x, y, scratch):
+    """The run pass: Bessel-corrected v1 = Var(x), c = Cov(x, y) and v2 = Var(y) of one run.
 
-    x and y are a run's s1 and s2 (or stacks of rows), and are only read.
-    scratch has their shape; buf has their leading shape and any width.
-    c's centred product is formed into scratch a buffer's width at a time,
-    so each moment is the pairwise sum of a whole centred row over n - 1:
-    v1 and v2 are bit for bit x.var and y.var with ddof=1, and no moment
-    depends on the width.  A buffer that spans the row still holds x's
-    centred row after c, and v1 is taken in it.
+    x and y are the run's s1 and s2, 1-D and only read; scratch has their
+    length.  c's centred product is formed into scratch through a chunk
+    buffer of at most BLOCK_DRAWS shots, then v2 and v1 are each centred and
+    squared in scratch, so each moment is the pairwise sum of a whole
+    centred row over n - 1: v1 and v2 are bit for bit x.var and y.var with
+    ddof=1, and no moment depends on the chunk width.
     """
-    n = x.shape[-1]
-    mean_x = x.mean(axis=-1, keepdims=True)
-    mean_y = y.mean(axis=-1, keepdims=True)
-    width = buf.shape[-1]
-    for start in range(0, n, width):
-        stop = min(start + width, n)
-        dx = np.subtract(x[..., start:stop], mean_x, out=buf[..., : stop - start])
-        dy = np.subtract(y[..., start:stop], mean_y, out=scratch[..., start:stop])
+    n = len(x)
+    mean_x, mean_y = x.mean(), y.mean()
+    buf = np.empty(min(n, BLOCK_DRAWS))
+    for start in range(0, n, len(buf)):
+        stop = min(start + len(buf), n)
+        dx = np.subtract(x[start:stop], mean_x, out=buf[: stop - start])
+        dy = np.subtract(y[start:stop], mean_y, out=scratch[start:stop])
         np.multiply(dy, dx, out=dy)
-    c = scratch.sum(axis=-1) / (n - 1)
-    np.subtract(y, mean_y, out=scratch)
-    v2 = np.square(scratch, out=scratch).sum(axis=-1) / (n - 1)
-    if width < n:
-        dx = np.subtract(x, mean_x, out=scratch)
-    v1 = np.square(dx, out=dx).sum(axis=-1) / (n - 1)
+    c = scratch.sum() / (n - 1)
+    v2 = np.square(np.subtract(y, mean_y, out=scratch), out=scratch).sum() / (n - 1)
+    v1 = np.square(np.subtract(x, mean_x, out=scratch), out=scratch).sum() / (n - 1)
     return v1, c, v2
 
 
@@ -155,7 +150,7 @@ def variances(data: RunResult) -> VarianceSummary:
     n = len(data.s1)
     if n < 2:
         raise InsufficientDataError("need at least two shots")
-    moments = _moments(data.s1, data.s2, np.empty(n), np.empty(min(n, BLOCK_DRAWS)))
+    moments = _moments(data.s1, data.s2, np.empty(n))
     v = {name: float(_STATISTICS[name](*moments))
          for name in ("sigma1", "sigma2", "sigma_plus", "sigma_minus")}
     se_factor = math.sqrt(2.0 / (n - 1))
@@ -178,17 +173,17 @@ def binned_conditional(data: RunResult) -> ConditionalResult:
     assumed, so it holds under atom-number spread.  r is formed, squared
     and centred in the moment pass's scratch column, with np.var's
     arithmetic.  squeezing_db is :func:`squeezing_db` of Var(s2) - 1/2 and
-    sigma_cond - 1/2, and NaN at zero nominal coupling and in the z basis,
-    where no atomic signal reaches s2.  The name is kept from the binned
-    estimator this replaced, since scripts and the per-layer benchmark call
-    it by that name.
+    sigma_cond - 1/2, and NaN at zero nominal coupling, at eta 0 and in the
+    z basis, where no atomic signal reaches s2.  The name is kept from the
+    binned estimator this replaced, since scripts and the per-layer
+    benchmark call it by that name.
     """
     s1, s2 = data.s1, data.s2
     n = len(s1)
     if n < 3:
         raise InsufficientDataError("need at least three shots to condition")
     r = np.empty(n)
-    var1, cov, var2 = (float(v) for v in _moments(s1, s2, r, np.empty(min(n, BLOCK_DRAWS))))
+    var1, cov, var2 = (float(v) for v in _moments(s1, s2, r))
     sigma_cond = _STATISTICS["sigma_cond"](var1, cov, var2)
     np.multiply(s1, -cov / var1, out=r)
     r += s2
@@ -196,7 +191,7 @@ def binned_conditional(data: RunResult) -> ConditionalResult:
     np.square(r, out=r)
     r -= r.mean()
     se = math.sqrt(float(np.square(r, out=r).sum()) / (n - 1) / n)
-    coupled = data.config.kappa_nominal and data.config.basis != "z"
+    coupled = data.config.kappa_nominal and data.config.eta and data.config.basis != "z"
     db = squeezing_db(var2 - 0.5, sigma_cond - 0.5) if coupled else math.nan
     return ConditionalResult(sigma_cond=sigma_cond, squeezing_db=db, se_cond=se)
 

@@ -72,6 +72,13 @@ def test_stats_leaves_montecarlo_out():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
+def test_figure_commands_load_no_statistics():
+    # mean_kappa_sq writes the normal cdf and pdf in math, so the import that
+    # the figure commands run leaves statistics out
+    proc = run_python("import sys, qndsim.figures; print('statistics' in sys.modules)")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 class TestLazyNamespace:
     def test_all_is_the_eager_list(self):
         assert qndsim.__all__ == PUBLIC

@@ -566,21 +566,18 @@ def reference_run(mode, basis, variant, shots):
 class TestGroup:
     """run_group: the runs of configs that differ only in mode, sampled together."""
 
-    @pytest.mark.parametrize("chunk, shots", [(1, 50), (3000, 20000), (8192, 20000)])
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("variant", list(GROUP_VARIANTS))
     @pytest.mark.parametrize("basis", ["y", "z"])
-    def test_each_run_is_its_own_run_sequence(self, monkeypatch, basis, variant, workers, chunk,
-                                              shots):
-        # every chunk size (one shot, a non-divisor of the shots and the
-        # default) and worker count gives each run of a group, and its
-        # re-derived atoms, bit for bit as run_sequence gives them alone
+    def test_each_run_is_its_own_run_sequence(self, basis, variant):
+        # each run of a group, and its re-derived atoms, is bit for bit what
+        # run_sequence gives alone; TestReferenceSampler::test_algebra walks
+        # the chunk sizes and worker counts
+        shots = 20000  # three chunks, on two workers
         alone = {mode: reference_run(mode, basis, variant, shots) for mode in ("qnd", "reinit")}
-        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", chunk)
         for modes in (["qnd", "reinit"], ["reinit", "qnd"]):
             configs = [cfg(mode=mode, basis=basis, shots=shots, **GROUP_VARIANTS[variant])
                        for mode in modes]
-            runs = run_group(configs, workers=workers)
+            runs = run_group(configs, workers=2)
             assert [run.config for run in runs] == configs
             assert runs[0].s1 is runs[1].s1
             for run in runs:
@@ -833,6 +830,18 @@ class TestPredict:
         m = predict(config)
         assert m.cov == pytest.approx(mean_kappa_sq(config) / 2, abs=1e-12)
         assert m.var1 == pytest.approx((1 + mean_kappa_sq(config)) / 2, abs=1e-12)
+
+    def test_mean_kappa_sq_is_the_normal_dist_formula_bit_for_bit(self):
+        # the clip's normal cdf and pdf are written in math; they must give
+        # the bits of the statistics.NormalDist formula they replaced
+        nd = NormalDist()
+        for r in np.linspace(0.0, 0.5, 501, endpoint=False)[1:].tolist():
+            a = (MIN_ATOM_FRACTION - 1.0) / r
+            for kappa in (0.62, 1e-3, 3.0, -1.7):
+                config = cfg(kappa_nominal=kappa, atom_fluctuation=True, spin_rel_std=r)
+                expected = kappa * kappa * (MIN_ATOM_FRACTION * nd.cdf(a) + (1.0 - nd.cdf(a))
+                                            + r * nd.pdf(a))
+                assert mean_kappa_sq(config) == expected, (r, kappa)
 
     def test_conditional_is_schur_complement(self):
         for mode, basis, eta, spread in itertools.product(
