@@ -14,11 +14,13 @@ writes, the one record of its files.
 
 Every table is written by :func:`_write_csv` from its columns, in one pass
 that hashes each block as it is written, so the manifest never re-reads a
-file.  ``sweep`` and ``conditional`` share one driver, :func:`_sweep`: each
-figure declares its statistics once, as (name, estimate, SE, model target),
-and the driver builds both the table columns and the ``--check`` bands from
-them.  Both squeezing columns of ``conditional``, data and theory, are
-:func:`qndsim.stats.squeezing_db` of the total and the conditional excess.
+file; ``joint`` formats its blocks ahead on up to ``workers`` threads, and
+writes and hashes them in order.  ``sweep`` and ``conditional`` share one
+driver, :func:`_sweep`: each figure declares its statistics once, as (name,
+estimate, SE, model target), and the driver builds both the table columns
+and the ``--check`` bands from them.  Both squeezing columns of
+``conditional``, data and theory, are :func:`qndsim.stats.squeezing_db` of
+the total and the conditional excess.
 Every command summarises each run as it is sampled and drops it before
 sampling the next, so ``joint`` holds one run's columns at a time and a
 sweep one grid point's: s1 once, shared by the point's modes (common random
@@ -36,6 +38,8 @@ import hashlib
 import itertools
 import json
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -44,7 +48,7 @@ import numpy as np
 
 from . import stats
 from .montecarlo import (
-    SequenceConfig, predict, run_group, run_sequence, sweep_seed
+    SequenceConfig, _usable_cpus, predict, run_group, run_sequence, sweep_seed
 )
 from .physics import _FMT, _json_ready, _read_json, coupling_strength, is_finite_real, load_sheet
 
@@ -163,7 +167,7 @@ def load_spec(
                              seed=seed, shots=shots, out=out)
 
 
-_BLOCK_ROWS = 2048  # table rows formatted at once: bounds the temporaries (about 280 B a value)
+_BLOCK_ROWS = 8192  # table rows formatted at once: bounds the temporaries (about 80 B a value)
 
 
 def _digit_words() -> np.ndarray:
@@ -171,6 +175,9 @@ def _digit_words() -> np.ndarray:
 
     A NUL byte stands for a digit that is not written.  The sections, at
     multiples of 10000, are the word variants :func:`_csv_block` picks from.
+    The first leads the top two digits, 0..99, with a separator and a sign:
+    entry t + 100·negative + 200·comma.  The two sections before the point
+    hold each of 0..999 twice: entry 1000 + g is g followed by the point.
     """
     d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     digits = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), axis=-1).reshape(-1, 4)
@@ -179,22 +186,22 @@ def _digit_words() -> np.ndarray:
     trail = np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]  # up to the last one
     chars = np.stack([digits] * 6)
     chars[0] *= lead & [False, False, True, True]  # two digits after separator and sign
+    chars[0, :400] = np.tile(chars[0, :100], (4, 1))
+    chars[0, :400, :2] = np.repeat([[ord("\n"), 0], [ord("\n"), ord("-")],
+                                    [ord(","), 0], [ord(","), ord("-")]], 100, axis=0)
     chars[2] *= lead
     chars[3:5, :, :3] = digits[:, 1:]  # three digits before the point
     chars[3:5, :, 3] = 0
     chars[4, :, :3] *= lead[:, 1:] | [False, False, True]  # 0 as "0"
+    chars[3:5, 1000:2000] = chars[3:5, :1000]  # and again, followed by the point
+    chars[3:5, 1000:2000, 3] = ord(".")
     chars[5] *= trail
     return chars.view("<u4").ravel()
 
 
 _WORDS = _digit_words()
-_TOP, _FULL, _LEAD, _LOW_FULL, _LOW_LEAD, _TRAIL = range(0, 60_000, 10_000)
+_FULL, _LEAD, _LOW_FULL, _LOW_LEAD, _TRAIL = range(10_000, 60_000, 10_000)
 _POW10 = 10.0 ** np.arange(13)  # exact in float64
-# an integer part of up to 9 digits splits 2+4+3, a 12-digit fraction 4+4+4
-_GROUP_DIV = np.array([[1e7, 1e3], [1e8, 1e4]])[:, :, None]
-_GROUP_MOD = np.array([1e4, 1e3, 0.0, 1e4, 1e4])[:, None]
-_MINUS = np.uint32(ord("-") << 8)
-_POINT = np.uint32(ord(".") << 24)
 
 
 def _csv_block(block: np.ndarray) -> bytes:
@@ -207,53 +214,63 @@ def _csv_block(block: np.ndarray) -> bytes:
     correctly, unless it is within 1e-6 of a tie.  Zeros, non-finite values,
     exponent forms and near-ties are formatted by ``%`` itself, one at a time.
 
-    Each value is written as six words: separator, sign and the integer
-    part's top two digits; its next four; its last three and the point; the
-    12-digit fraction in three.  Suppressed digits are NUL, and one
-    ``compress`` drops them.
+    Each value is written as six words, one :data:`_WORDS` entry each:
+    separator, sign and the integer part's top two digits; its next four; its
+    last three and the point; the 12-digit fraction in three.  Suppressed
+    digits are NUL, and one boolean mask drops them.  Each temporary is
+    freed once it is spent, which bounds a block's memory.
     """
     values = block.ravel()
     a = np.abs(values)
     with np.errstate(divide="ignore", invalid="ignore"):  # zeros, inf, nan: flagged below
         # p = 8 - floor(log10 a); the 1e-9 keeps exact powers of ten on this
         # path, and a misjudged p leaves m outside [1e8, 1e9)
-        p = np.fmin(np.fmax(9 - 1e-9 - np.log10(a), 0), 12).astype(np.intp)
+        p = np.subtract(9 - 1e-9, np.log10(a))
+        p = np.fmin(np.fmax(p, 0, out=p), 12, out=p).astype(np.intp)
         scale = _POW10[p]
-        m = a * scale
+        m = np.multiply(a, scale, out=a)
         digits = np.rint(m)
-        exact = (np.abs(m - digits) <= 0.499999) & (m >= 1e8) & (m < 999999999.5)
+        exact = (m >= 1e8) & (m < 999999999.5)
+        exact &= np.abs(np.subtract(m, digits, out=m), out=m) <= 0.499999
+    del a, m
     slow = np.flatnonzero(~exact)
     if slow.size:  # an in-range stand-in, overwritten below
         digits[slow], scale[slow], p[slow] = 1e8, 1e8, 8
     # the integer part and the 12-digit fraction, each cut into three groups
-    groups = np.empty((2, 3, values.size))
-    np.floor(digits / scale, out=groups[0, 2])
-    groups[1, 2] = (digits - groups[0, 2] * scale) * _POW10[12 - p]
-    np.floor(groups[:, 2:] / _GROUP_DIV, out=groups[:, :2])
-    groups = groups.reshape(6, -1)
-    groups[1:] -= groups[:-1] * _GROUP_MOD
+    whole = np.divide(digits, scale)
+    np.floor(whole, out=whole)
+    fraction = np.subtract(digits, whole * scale)
+    fraction *= _POW10[12 - p]
+    del digits, scale, p
     # a group is written in full when a digit is written before it (integer
     # part) or after it (fraction); otherwise its outer zeros are suppressed
-    nonzero = groups > 0
-    nonzero[1] |= nonzero[0]
-    nonzero[4] |= nonzero[5]
-    # group 0 indexes the first section, _TOP, as it stands
-    groups[1] += np.where(nonzero[0], _FULL, _LEAD)
-    groups[2] += np.where(nonzero[1], _LOW_FULL, _LOW_LEAD)
-    groups[3] += np.where(nonzero[4], _FULL, _TRAIL)
-    groups[4] += np.where(nonzero[5], _FULL, _TRAIL)
-    groups[5] += _TRAIL
-    words = _WORDS.take(groups.T.astype(np.intp, order="C"))
-    separators = np.full(block.shape, ord(","), dtype="<u4")
-    separators[:, 0] = ord("\n")
-    words[:, 0] += separators.ravel() + np.signbit(values) * _MINUS
-    words[:, 2] += (nonzero[3] | nonzero[4]) * _POINT
-    text = words.view(np.uint8)
+    index = np.empty((values.size, 6), dtype=np.uint16)
+    top, mid = np.floor(whole / 1e7), np.floor(whole / 1e3)
+    whole -= mid * 1e3
+    # the point follows when a fraction digit is written
+    index[:, 2] = whole + np.where(mid > 0, _LOW_FULL, _LOW_LEAD) + 1000 * (fraction > 0)
+    mid -= top * 1e4
+    index[:, 1] = mid + np.where(top > 0, _FULL, _LEAD)
+    top += 100 * np.signbit(values)
+    top.reshape(block.shape)[:, 1:] += 200  # a comma before all but a row's first value
+    index[:, 0] = top
+    del whole, top, mid
+    high, low = np.floor(fraction / 1e8), np.floor(fraction / 1e4)
+    fraction -= low * 1e4
+    low -= high * 1e4
+    index[:, 5] = fraction + _TRAIL
+    trail = fraction > 0
+    index[:, 4] = low + np.where(trail, _FULL, _TRAIL)
+    trail |= low > 0
+    index[:, 3] = high + np.where(trail, _FULL, _TRAIL)
+    del fraction, high, low, trail
+    text = _WORDS[index].view(np.uint8)
+    del index
     if slow.size:
         exact_text = np.array([_FMT % v for v in values[slow].tolist()], dtype="S23")
         text[slow, 1:] = exact_text.view(np.uint8).reshape(-1, 23)
     text = text.ravel()
-    return np.compress(text != 0, text).tobytes()
+    return text[text != 0].tobytes()
 
 
 def _write_text(path: Path, parts) -> str:
@@ -264,22 +281,49 @@ def _write_text(path: Path, parts) -> str:
             data = part.encode() if isinstance(part, str) else part
             f.write(data)
             digest.update(data)
+            del part, data  # not held while the next part is made
     return digest.hexdigest()
 
 
-def _write_csv(path: Path, header: str, columns) -> str:
+def _ahead(pool, fn, items, window: int):
+    """``fn`` of each of ``items``, in order, computed on ``pool``: at most ``window`` in flight.
+
+    Once an item's result is in, the next item is submitted, so the pool
+    works on ``window`` items while the caller handles this one.
+    """
+    items = iter(items)
+    pending = deque(pool.submit(fn, item) for item in itertools.islice(items, window))
+    while pending:
+        result = pending.popleft().result()
+        pending.extend(pool.submit(fn, item) for item in itertools.islice(items, 1))
+        yield result
+        del result  # not held while the next one is awaited
+
+
+def _write_csv(path: Path, header: str, columns, workers: int = 1) -> str:
     """Write k equal-length columns under ``header``, a block of rows at a time.
 
     Each block's rows are interleaved from the columns' slices, so no table of
     the whole file is built, and turned into text by :func:`_csv_block`, which
-    leads each row with the newline ending the line before.  Returns the
+    leads each row with the newline ending the line before.  A pool of
+    min(``workers``, blocks, usable CPUs) threads formats the blocks when that
+    is above one, that many ahead of the block being written; the blocks are
+    written and hashed in order, so the bytes do not depend on the count.  The
+    pool is shut down here, so no thread outlives a failed write.  Returns the
     sha256 of the bytes written.
     """
-    blocks = (
-        np.column_stack([np.asarray(c[i : i + _BLOCK_ROWS], dtype=float) for c in columns])
-        for i in range(0, len(columns[0]), _BLOCK_ROWS)
-    )
-    return _write_text(path, itertools.chain([header], map(_csv_block, blocks), ["\n"]))
+    starts = range(0, len(columns[0]), _BLOCK_ROWS)
+
+    def block(start: int) -> bytes:
+        return _csv_block(np.column_stack(
+            [np.asarray(c[start : start + _BLOCK_ROWS], dtype=float) for c in columns]))
+
+    threads = min(workers, len(starts), _usable_cpus())
+    if threads < 2:
+        return _write_text(path, itertools.chain([header], map(block, starts), ["\n"]))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        blocks = _ahead(pool, block, starts, threads)
+        return _write_text(path, itertools.chain([header], blocks, ["\n"]))
 
 
 def _emit_manifest(
@@ -325,7 +369,7 @@ def cmd_joint(spec: ExperimentSpec, workers: int = 1) -> dict:
         result = run_sequence(cfg, workers=workers)
         outdir = _outdir(spec)  # made once a run is sampled: a sampling error leaves none
         path = outdir / f"{spec.name}_joint_{panel}.csv"
-        files[path] = _write_csv(path, "s1,s2", (result.s1, result.s2))
+        files[path] = _write_csv(path, "s1,s2", (result.s1, result.s2), workers)
         vs = stats.variances(result)
         # Pearson's r from the variances: sigma_plus - sigma_minus = 2*Cov(s1, s2)
         r = (vs.sigma_plus - vs.sigma_minus) / (2.0 * math.sqrt(vs.sigma1 * vs.sigma2))

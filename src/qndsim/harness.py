@@ -77,7 +77,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="override the output directory")
     sub.add_argument(
         "--workers", type=int, default=1,
-        help="concurrent shot chunks, at most one per usable CPU; the output does not depend on it",
+        help="threads for the shot chunks and the CSV blocks, at most one per usable CPU; "
+             "the output does not depend on it",
     )
 
 

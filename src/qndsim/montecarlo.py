@@ -56,7 +56,9 @@ from .physics import is_finite_real, is_positive_int
 from .stats import _STATISTICS
 
 DRAWS_PER_SHOT = 8
-_CHUNK_SHOTS = 8192
+# normals per sampler chunk: a chunk of a group that transforms k slots holds
+# this // k shots, so a lossy 7-slot group takes 8192 and a lossless one 19114
+_CHUNK_NORMALS = 7 * 8192
 _U64 = (1 << 64) - 1
 _UNIT = 2.0**-53  # a word's top 53 bits times this is a uniform double in [0, 1)
 _TINY = np.finfo(float).tiny
@@ -381,22 +383,25 @@ def _sample(configs: list[SequenceConfig], keys: list, workers: int) -> list[np.
 
     Each chunk's windows are drawn once for the whole group, the union of the
     configs' used slots is transformed once, and the chunk is sampled straight
-    into its slice of the columns.  A pool of min(``workers``, chunks, usable
-    CPUs) threads fills the chunks when that is above one, else they are
-    filled in turn; the columns are the same either way, and are returned
-    read-only.
+    into its slice of the columns.  A chunk of a group that transforms k slots
+    holds ``_CHUNK_NORMALS // k`` shots, so every chunk transforms about as
+    many normals, and a lossless group's NumPy calls are as long as a lossy
+    one's.  A pool of min(``workers``, chunks, usable CPUs) threads fills the
+    chunks when that is above one, else they are filled in turn; the columns
+    are the same either way, and are returned read-only.
     """
     shots, seed = configs[0].shots, configs[0].seed
     slots = sorted(set().union(*map(_used_slots, configs)))
     cols = [np.empty(shots) for _ in keys]
+    chunk_shots = _CHUNK_NORMALS // len(slots)
 
     def fill(start: int) -> None:
-        stop = min(start + _CHUNK_SHOTS, shots)
+        stop = min(start + chunk_shots, shots)
         chunk = _columns(configs, _normals(seed, start, stop - start, slots))
         for col, key in zip(cols, keys):
             col[start:stop] = chunk[key]
 
-    starts = range(0, shots, _CHUNK_SHOTS)
+    starts = range(0, shots, chunk_shots)
     threads = min(workers, len(starts), _usable_cpus())
     # consuming either map fills every chunk and re-raises a chunk's error
     if threads > 1:

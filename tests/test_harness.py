@@ -1,5 +1,6 @@
 """Tests for the CLI and the figure commands: specs, written files and manifests, exit codes."""
 
+import errno
 import gc
 import hashlib
 import json
@@ -7,8 +8,10 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import Future
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -862,6 +865,11 @@ class TestSpecTypes:
         assert spec.kappa_grid == (0.0, 0.3)
 
 
+# tables of 1-5 columns and 1-40 rows of any float64: +-0, subnormals, normals, +-inf, nan
+FLOAT_TABLES = st.integers(1, 5).flatmap(
+    lambda k: st.lists(st.tuples(*[st.floats()] * k), min_size=1, max_size=40))
+
+
 class TestCsvWriter:
     """The NumPy table formatter against the per-value f-string."""
 
@@ -870,9 +878,9 @@ class TestCsvWriter:
         lines = [header] + [",".join(f"{x:.9g}" for x in row) for row in rows]
         return ("\n".join(lines) + "\n").encode()
 
-    def assert_same_bytes(self, tmp_path, rows, header="a"):
+    def assert_same_bytes(self, tmp_path, rows, header="a", workers=1):
         path = tmp_path / "table.csv"
-        digest = figures._write_csv(path, header, list(zip(*rows)))
+        digest = figures._write_csv(path, header, list(zip(*rows)), workers)
         written = path.read_bytes()
         assert written == self.reference(header, rows)
         assert digest == hashlib.sha256(written).hexdigest()
@@ -922,8 +930,7 @@ class TestCsvWriter:
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.integers(1, 5).flatmap(
-        lambda k: st.lists(st.tuples(*[st.floats()] * k), min_size=1, max_size=40)))
+    @given(FLOAT_TABLES)
     def test_any_float64_table(self, tmp_path, rows):
         # every float64 class: +-0, subnormals, normals, +-inf, nan
         self.assert_same_bytes(tmp_path, rows)
@@ -942,17 +949,138 @@ class TestCsvWriter:
         assert len(table) % figures._BLOCK_ROWS
         self.assert_same_bytes(tmp_path, table.tolist(), header="x,y")
 
-    def test_peak_memory_is_one_block(self, tmp_path):
-        # the columns are interleaved a block at a time: no (n, k) table of the
-        # whole file, which alone would be 1x the columns' bytes
+    @staticmethod
+    def write_peak(tmp_path, workers=1):
+        """The traced peak of writing 400,000 rows x 2 columns, over the columns' bytes."""
         rng = np.random.default_rng(13)
         columns = (rng.normal(size=400_000), rng.normal(size=400_000))
         column_bytes = sum(c.nbytes for c in columns)
         gc.collect()
         tracemalloc.start()
         try:
-            figures._write_csv(tmp_path / "table.csv", "s1,s2", columns)
+            figures._write_csv(tmp_path / "table.csv", "s1,s2", columns, workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.3 * column_bytes
+        return peak / column_bytes
+
+    def test_peak_memory_is_one_block(self, tmp_path):
+        # the columns are interleaved a block at a time: no (n, k) table of the
+        # whole file, which alone would be 1x the columns' bytes
+        assert self.write_peak(tmp_path) <= 0.3
+
+    def test_pooled_peak_memory_is_blocks_in_flight(self, tmp_path, monkeypatch):
+        # a pool of two formats two blocks ahead of the one being written:
+        # two blocks in flight, each within the serial writer's bound
+        monkeypatch.setattr(figures, "_usable_cpus", lambda: 2)
+        assert self.write_peak(tmp_path, workers=2) <= 2 * 0.3
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pooled_blocks_are_written_in_order(self, tmp_path, monkeypatch, workers):
+        # five full blocks and a partial one, with %-path values (zeros,
+        # ties, exponent forms) in blocks 0 and 2 and in the partial block
+        monkeypatch.setattr(figures, "_usable_cpus", lambda: 8)  # a pool on any host
+        block = figures._BLOCK_ROWS
+        table = np.random.default_rng(23).normal(scale=1e3, size=(5 * block + 101, 2))
+        odd = [0.0, -0.0, 999999999.5, 0.99999999995, 123456789.5, 1e16, -2.5e-9, 1e-5]
+        for row in (5, 2 * block + 7, 5 * block + 50):
+            table[row : row + len(odd), 0] = odd
+            table[row : row + len(odd), 1] = odd[::-1]
+        self.assert_same_bytes(tmp_path, table.tolist(), header="x,y", workers=workers)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(FLOAT_TABLES)
+    def test_any_float64_table_pooled(self, tmp_path, monkeypatch, rows):
+        # the tables of test_any_float64_table, in 3-row blocks on a pool of two
+        monkeypatch.setattr(figures, "_BLOCK_ROWS", 3)
+        monkeypatch.setattr(figures, "_usable_cpus", lambda: 2)
+        self.assert_same_bytes(tmp_path, rows, workers=2)
+
+    @pytest.mark.parametrize(
+        "workers, blocks, cpus, threads",
+        [(16, 6, 2, 2), (16, 3, 8, 3), (2, 6, 8, 2), (16, 6, 1, None), (4, 1, 8, None)],
+        ids=["cpus", "blocks", "workers", "one_cpu", "one_block"],
+    )
+    def test_pool_is_capped_by_blocks_and_cpus(self, tmp_path, monkeypatch, workers, blocks,
+                                              cpus, threads):
+        pools, in_flight, most = [], set(), []
+
+        class Pending(Future):  # in flight from its submission until its result is read
+            def result(self, timeout=None):
+                in_flight.discard(self)
+                return super().result(timeout)
+
+        class RecordingPool:  # records its size and the blocks in flight, formats in turn
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Pending()
+                future.set_result(fn(*args))
+                in_flight.add(future)
+                most.append(len(in_flight))
+                return future
+
+        monkeypatch.setattr(figures, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(figures, "_BLOCK_ROWS", 10)
+        monkeypatch.setattr(figures, "_usable_cpus", lambda: cpus)
+        rows = np.random.default_rng(29).normal(size=(10 * blocks, 2)).tolist()
+        self.assert_same_bytes(tmp_path, rows, workers=workers)
+        assert pools == ([] if threads is None else [threads])
+        assert max(most, default=None) == threads  # the pool formats that many blocks ahead
+
+    def test_failed_block_leaves_no_thread(self, tmp_path, monkeypatch):
+        # the third block's formatting raises: the caller gets that error,
+        # and the pool's threads are gone when _write_csv returns
+        monkeypatch.setattr(figures, "_usable_cpus", lambda: 2)
+        block, csv_block = figures._BLOCK_ROWS, figures._csv_block
+
+        def failing(rows):
+            if rows[0, 0] == 2 * block:  # the rows are numbered
+                raise ValueError("block 2")
+            return csv_block(rows)
+
+        monkeypatch.setattr(figures, "_csv_block", failing)
+        rows = np.arange(6 * block, dtype=float)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="block 2"):
+            figures._write_csv(tmp_path / "table.csv", "a,b", (rows, rows), workers=2)
+        assert threading.active_count() == before
+
+    def test_failed_write_leaves_no_thread(self, monkeypatch):
+        # the file fills up mid-table: the caller gets the OSError, and no
+        # pool thread is left; a pool held by a suspended generator would be
+        # kept alive by the traceback the raised error holds
+        monkeypatch.setattr(figures, "_usable_cpus", lambda: 2)
+
+        class FullDisk:  # a path whose file takes the header and two blocks
+            writes = 0
+
+            def open(self, mode):
+                return self
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 3:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return len(data)
+
+        rows = np.random.default_rng(31).normal(size=6 * figures._BLOCK_ROWS)
+        before = threading.active_count()
+        with pytest.raises(OSError) as excinfo:
+            figures._write_csv(FullDisk(), "a,b", (rows, rows), workers=2)
+        assert threading.active_count() == before
+        assert excinfo.value.errno == errno.ENOSPC

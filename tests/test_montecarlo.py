@@ -257,14 +257,35 @@ class TestDeterminism:
             def map(self, fn, iterable):
                 return map(fn, iterable)
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 100)
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
         config = cfg(shots=100 * chunks)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo, "_CHUNK_NORMALS", 100 * len(_used_slots(config)))
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
         serial = run_sequence(config)
         run = run_sequence(config, workers=workers)
         assert pools == ([] if threads is None else [threads])
         assert np.array_equal(run.s1, serial.s1) and np.array_equal(run.s2, serial.s2)
+
+    @pytest.mark.parametrize("modes, settings, chunk", [
+        (["qnd"], {}, 19114),
+        (["qnd", "reinit"], {}, 14336),
+        (["qnd", "reinit"], {"eta": 0.8, "atom_fluctuation": True, "spin_rel_std": 0.05}, 8192),
+        (["qnd"], {"basis": "z"}, 19114),
+    ], ids=["lossless_qnd", "qnd_reinit", "lossy_pair", "z_basis"])
+    def test_chunk_is_normals_over_slots(self, monkeypatch, modes, settings, chunk):
+        # a chunk transforms _CHUNK_NORMALS normals at most, whatever the
+        # slots its group uses: 8192 shots of the 7 slots of a lossy pair
+        configs = [cfg(mode=mode, shots=2 * chunk + 5, **settings) for mode in modes]
+        assert chunk == montecarlo._CHUNK_NORMALS // len(group_slots(configs))
+        sizes = []
+
+        def normals(seed, start, n, slots):
+            sizes.append(n)
+            return _normals(seed, start, n, slots)
+
+        monkeypatch.setattr(montecarlo, "_normals", normals)
+        run_group(configs)
+        assert sizes == [chunk, chunk, 5]
 
     def test_usable_cpus(self, monkeypatch):
         assert 1 <= montecarlo._usable_cpus() <= os.cpu_count()
@@ -702,10 +723,21 @@ class TestReferenceSampler:
     def test_algebra(self, monkeypatch, group, workers, chunk, shots):
         # every column of run_group, the re-derived atoms too, is the
         # reference's algebra on the group's normals taken as one block,
-        # whatever the chunking and the worker count
-        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", chunk)
+        # whatever the chunking and the worker count; 8192 shots is the
+        # production chunk of a lossy 7-slot group, and at 3000 shots the
+        # production rule makes one chunk of every group, as this case does
+        configs = reference_group(group, shots)
+        starts = []
+
+        def normals(seed, start, n, slots):
+            starts.append(start)
+            return _normals(seed, start, n, slots)
+
+        monkeypatch.setattr(montecarlo, "_CHUNK_NORMALS", chunk * len(group_slots(configs)))
+        monkeypatch.setattr(montecarlo, "_normals", normals)
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)  # a pool on any host
-        runs = run_group(reference_group(group, shots), workers=workers)
+        runs = run_group(configs, workers=workers)
+        assert sorted(starts) == list(range(0, shots, chunk))  # the chunking took hold
         for run, reference in zip(runs, reference_columns(group)):
             for name, column in reference.items():
                 assert same_bits(getattr(run, name), column[:shots]), (run.config.mode, name)
